@@ -6,15 +6,17 @@ slices, all-zero HO vector masks, RLE indices, the Eq. 6 compensation bias.
 
 1. **offline** — calibrate on a held-out set; conversion runs each layer's
    engine ``prepare`` exactly once and caches a ``LayerPlan``;
-2. **online** — ``session.run(batch)`` executes only the activation path,
-   recording a per-request trace (ops, sparsities) for the hardware model.
+2. **online** — ``session.run(batch)`` executes only the activation path
+   and folds each request's per-layer trace (ops, sparsities) into the
+   session's lifetime counters for the hardware model.
 
 The demo serves a stream of batches through an AQS-quantized transformer
 block stack and shows that repeated requests re-use the cached plans.  The
 session uses the default ``exec_path="fast"`` (collapsed-BLAS online path;
-pass ``PtqConfig(exec_path="sliced")`` for the plane-pair reference) and
-bounds trace retention with ``max_records`` so an unbounded request stream
-serves in constant memory.
+pass ``PtqConfig(exec_path="sliced")`` for the plane-pair reference).  The
+session keeps only lifetime counters, so an unbounded request stream serves
+in constant memory; a caller that wants one request's layer records takes
+them from ``serve_coalesced``, which returns them.
 
 Run:  PYTHONPATH=src python examples/serving_session.py
 """
@@ -34,7 +36,7 @@ model = CausalLM(vocab=256, dim=64, n_layers=2, n_heads=4, mlp_hidden=128)
 calibration = [rng.integers(0, 256, (2, 32)) for _ in range(4)]
 
 # --- offline phase: calibrate + build every layer plan --------------------
-session = PanaceaSession(model, PtqConfig(scheme="aqs"), max_records=4)
+session = PanaceaSession(model, PtqConfig(scheme="aqs"))
 t0 = time.perf_counter()
 session.calibrate(calibration)
 prepare_s = time.perf_counter() - t0
@@ -51,14 +53,13 @@ serve_s = time.perf_counter() - t0
 print(f"\nonline: served {len(outputs)} requests in {serve_s * 1e3:.0f} ms "
       f"({serve_s / len(outputs) * 1e3:.1f} ms/request, weight path cached)")
 
-# --- observability: per-request traces and aggregate stats ----------------
-newest = session.requests[-1]
+# --- observability: one request's trace and the lifetime stats -------------
+_, (newest,) = session.serve_coalesced([rng.integers(0, 256, (2, 32))])
 print(f"\nrequest {newest.request_id}: batch {newest.batch_shape}, "
       f"{len(newest.layers)} layer executions, "
       f"{newest.total_ops().mul4 / 1e6:.1f}M 4-bit multiplies")
 stats = session.stats()
-print(f"session: {stats['n_requests']} requests served "
-      f"({stats['n_retained']} retained under max_records), "
+print(f"session: {stats['n_requests']} requests served, "
       f"{stats['n_layer_calls']} layer calls, "
       f"mean rho_x {stats['mean_rho_x']:.1%}, "
       f"mean rho_w {stats['mean_rho_w']:.1%}")

@@ -12,14 +12,13 @@ Eleven commands cover the everyday workflows:
 * ``serve <model>`` — host the model on a :class:`ModelServer` and push
   single requests through the dynamic micro-batching scheduler
   (``--max-batch``/``--max-delay-ms`` are the coalescing knobs,
-  ``--exec-path`` picks the fast or sliced BLAS path, ``--max-records``
-  bounds trace retention, ``--workers`` attaches the concurrent worker
-  pool with async submission, ``--backend process`` executes the
-  deployment in spawned BLAS-pinned worker processes (``--blas-threads``
-  caps each worker's BLAS pool), ``--cache-kib`` enables the
-  per-deployment result cache, ``--repeats`` resubmits the stream to
-  exercise it and ``--shards``/``--depth`` deploy the model as a stage
-  pipeline);
+  ``--exec-path`` picks the fast or sliced BLAS path, ``--workers``
+  attaches the concurrent worker pool with async submission,
+  ``--backend process`` executes the deployment in spawned BLAS-pinned
+  worker processes (``--blas-threads`` caps each worker's BLAS pool),
+  ``--cache-kib`` enables the per-deployment result cache, ``--repeats``
+  resubmits the stream to exercise it and ``--shards``/``--depth`` deploy
+  the model as a stage pipeline);
 * ``decode <model>`` — autoregressively decode a ragged prompt mix
   through the continuous-batching scheduler over KV-cached incremental
   forwards (``--max-batch`` caps concurrent sequences, ``--refill``
@@ -136,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="requests coalesced into one engine batch")
     p_serve.add_argument("--max-delay-ms", type=float, default=2.0,
                          help="max time a queued request waits for riders")
-    p_serve.add_argument("--max-records", type=int, default=None,
-                         help="retain only the newest N request records "
-                              "(default: unbounded)")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="worker-pool threads (0 = inline serving); "
                               "requests go through submit_async")
@@ -536,8 +532,7 @@ def _cmd_serve(args, out) -> int:
     t0 = time.perf_counter()
     server.deploy_proxy(deployment, args.model, scheme=args.scheme,
                         exec_path=args.exec_path, seed=args.seed,
-                        policy=policy, max_records=args.max_records,
-                        shards=args.shards, depth=args.depth,
+                        policy=policy, shards=args.shards, depth=args.depth,
                         stage_workers=args.stage_workers)
     prepare_s = time.perf_counter() - t0
 
@@ -577,7 +572,7 @@ def _cmd_serve(args, out) -> int:
           f"max_delay={policy.max_delay_s * 1e3:.0f} ms)", file=out)
     qw = sched["queue_wait"]
     print(f"queue wait p50 {qw['p50_ms']:.2f} ms, p95 {qw['p95_ms']:.2f} ms; "
-          f"{sess['n_retained']} records retained", file=out)
+          f"{sess['n_layer_calls']} layer calls", file=out)
     if args.workers:
         workers = metrics.workers
         print(f"worker pool: {workers['workers']} workers, "

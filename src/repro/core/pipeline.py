@@ -202,13 +202,15 @@ class LayerExecution:
 class ExecutionTrace:
     """Accumulates :class:`LayerExecution` records across a forward pass.
 
-    ``records`` is the shared, session-ordered ledger.  :meth:`capture`
-    additionally supports *redirected* collection: while a capture is active
-    on a thread, that thread's :meth:`add` calls land in the capture's local
-    list instead of ``records``.  This is what lets pipeline stages execute
-    the same layer modules concurrently on several threads — each stage
-    collects its own records without interleaving them into the shared
-    ledger (which only the session, under its lock, appends to).
+    ``records`` collects every layer call made outside a capture — the
+    ledger of a caller that runs ``PtqPipeline.convert(trace=...)`` models
+    directly.  :meth:`capture` redirects collection: while a capture is
+    active on a thread, that thread's :meth:`add` calls land in the
+    capture's local list instead of ``records``.  Every
+    :class:`~repro.engine.session.PanaceaSession` serving path collects
+    this way, so a serving session's ``records`` stays empty, and pipeline
+    stages can execute the same layer modules concurrently on several
+    threads without interleaving their records.
     """
 
     def __init__(self, keep_masks: bool = False) -> None:
@@ -232,7 +234,8 @@ class ExecutionTrace:
 
         Yields the list; on exit the previous sink (captures nest) is
         restored.  Records captured here are *not* in :attr:`records` — the
-        caller decides whether to merge them (e.g.
+        caller decides what to do with them (e.g. fold them into a
+        session's lifetime counters with
         :meth:`~repro.engine.session.PanaceaSession.record_external`).
         """
         outer = getattr(self._capture, "sink", None)
@@ -310,6 +313,9 @@ class _QuantizedGemmBase(Module):
             combined = w_scale * float(np.max(record.x_params.scale))
             bias_int = np.rint(bias / combined).astype(np.int64)
         self._b_hat = fold_bias(record.w_q, bias_int, zp)
+        # Per-output-channel dequant scale, fixed once calibration is done.
+        self._scale = (np.asarray(record.w_params.scale).reshape(-1, 1)
+                       * np.asarray(record.x_params.scale).max())
         if self.scheme == "aqs" and record.lo_bits > 4:
             # DBS truncation drops the l-4 LSBs (floor), a systematic
             # per-value deficit of ((2^(l-4)-1)/2) codes on average.  Like
@@ -327,9 +333,7 @@ class _QuantizedGemmBase(Module):
         x_q = quantize(x2d, record.x_params)
         result = self.engine.execute(self.plan, x_q)
         acc = result.acc + self._b_hat[:, None]
-        scale = (np.asarray(record.w_params.scale).reshape(-1, 1)
-                 * np.asarray(record.x_params.scale).max())
-        out = acc.astype(np.float64) * scale
+        out = acc.astype(np.float64) * self._scale
         if self.trace is not None:
             m, k = record.w_q.shape
             self.trace.add(LayerExecution(

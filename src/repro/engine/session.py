@@ -3,10 +3,12 @@
 :class:`PanaceaSession` is the serving-side entry point of the two-phase
 architecture: calibrate and convert a model once (every layer's
 :class:`LayerPlan` is built at conversion time), then stream request batches
-through :meth:`run` with zero per-request weight work.  Each request is
-recorded as a :class:`RequestRecord` holding its per-layer execution trace,
-so multi-batch serving keeps the same observability the hardware model
-consumes.
+through :meth:`run` with zero per-request weight work.  Each request's
+per-layer execution trace is folded into the session's lifetime counters
+(:meth:`stats`, :meth:`total_ops`); the :class:`RequestRecord` itself goes
+back to whichever caller asked for it (:meth:`serve_coalesced`,
+:meth:`record_external`) and is not retained, so a session serves an
+unbounded request stream in constant memory.
 
     session = PanaceaSession(model, PtqConfig(scheme="aqs"))
     session.calibrate(calibration_batches)      # offline phase
@@ -28,8 +30,7 @@ not a production behaviour, so it is opt-in.
 **Thread safety.**  A session serializes itself: every serving entry point
 (``run``/``run_coalesced``/``serve_coalesced``) and every accounting reader
 (``stats``/``total_ops``) takes the session's re-entrant lock, so
-concurrent callers see consistent lifetime counters, an aligned
-trace/record pair, and race-free ``max_records`` trimming.  The layer plans
+concurrent callers see consistent lifetime counters.  The layer plans
 are built once at calibration and shared read-only afterwards.  Parallelism
 comes from running *different* sessions concurrently (one per deployment —
 see :class:`~repro.serve.pool.WorkerPool`); two threads hammering one
@@ -216,15 +217,10 @@ class PanaceaSession:
     """Two-phase inference session: prepare layer plans once, execute many.
 
     Owns the PTQ pipeline, the plan cache (one :class:`LayerPlan` per GEMM
-    layer, built at conversion time) and the execution trace; every ``run``
-    appends a :class:`RequestRecord`.
-
-    ``max_records`` bounds what a *streaming* session retains: only the most
-    recent ``max_records`` request records (and their layer traces) are kept,
-    so serving an unbounded request stream runs in constant memory.  The
-    default (``None``) retains everything, preserving the historical
-    behaviour; :meth:`stats` and :meth:`total_ops` always report lifetime
-    totals regardless of retention.
+    layer, built at conversion time) and the execution trace.  Serving
+    entry points collect each request's layer records through
+    :meth:`ExecutionTrace.capture` and fold them into the lifetime counters
+    :meth:`stats` and :meth:`total_ops` report; no request record is kept.
 
     ``auto_calibrate`` opts in to the demo behaviour of calibrating on the
     first served batch; without it, :meth:`run` on an unprepared session
@@ -234,25 +230,20 @@ class PanaceaSession:
     def __init__(self, model, config: "PtqConfig | None" = None, *,
                  calibration: Iterable | None = None,
                  count_ops: bool = True, keep_masks: bool = False,
-                 max_records: int | None = None,
                  auto_calibrate: bool = False) -> None:
         from ..core.pipeline import ExecutionTrace, PtqConfig, PtqPipeline
 
-        if max_records is not None and max_records < 0:
-            raise ValueError(f"max_records must be >= 0, got {max_records}")
         self.config = config or PtqConfig()
         self.model = model
         self.pipeline = PtqPipeline(model, self.config)
         self.trace: "ExecutionTrace" = ExecutionTrace(keep_masks=keep_masks)
         self.count_ops = count_ops
         self.auto_calibrate = auto_calibrate
-        self.requests: list[RequestRecord] = []
-        self.max_records = max_records
         self._prepared = False
         # Serializes execution and accounting; re-entrant because the
         # coalesced path degenerates to run() for single-request groups.
         self._lock = threading.RLock()
-        # Lifetime accounting, independent of record retention.
+        # Lifetime accounting: the session's only request ledger.
         self._lifetime_requests = 0
         self._lifetime_layer_calls = 0
         self._lifetime_ops = OpCounts()
@@ -262,9 +253,6 @@ class PanaceaSession:
         # summed per batch so coalesced riders do not overcount wall time.
         self._lifetime_batches = 0
         self._lifetime_exec_s = 0.0
-        # Layer records retained for still-held requests; when this matches
-        # len(trace.records) the trace head is safe to trim positionally.
-        self._retained_layer_count = 0
         if calibration is not None:
             self.calibrate(calibration)
 
@@ -291,7 +279,7 @@ class PanaceaSession:
     def restore(cls, model, config: "PtqConfig",
                 records: "dict[str, LayerQuantRecord]",
                 plans: dict[str, Any], *, count_ops: bool = True,
-                keep_masks: bool = False, max_records: int | None = None,
+                keep_masks: bool = False,
                 auto_calibrate: bool = False) -> "PanaceaSession":
         """Rebuild a ready-to-serve session from persisted artifacts.
 
@@ -303,8 +291,7 @@ class PanaceaSession:
         same float architecture the records were calibrated on.
         """
         session = cls(model, config, count_ops=count_ops,
-                      keep_masks=keep_masks, max_records=max_records,
-                      auto_calibrate=auto_calibrate)
+                      keep_masks=keep_masks, auto_calibrate=auto_calibrate)
         session.pipeline.records = dict(records)
         session.model = session.pipeline.convert(
             trace=session.trace, count_ops=count_ops, plans=plans)
@@ -343,38 +330,32 @@ class PanaceaSession:
             if not self.auto_calibrate:
                 self._require_prepared("run()")
             self.calibrate([batch])
-        start = len(self.trace.records)
-        t0 = time.perf_counter()
-        try:
+        with self.trace.capture() as layers:
+            t0 = time.perf_counter()
             out = self.model(batch)
-        except Exception:
-            # Roll back partial layer records so the shared trace stays
-            # aligned with the request list (retention trims positionally).
-            del self.trace.records[start:]
-            raise
-        latency = time.perf_counter() - t0
+            latency = time.perf_counter() - t0
         record = RequestRecord(
             request_id=self._lifetime_requests,
             batch_shape=tuple(np.shape(batch)),
-            layers=self.trace.records[start:],
+            layers=layers,
             latency_s=latency,
         )
-        self.requests.append(record)
-        self._account(record)
-        self._lifetime_batches += 1
-        self._lifetime_exec_s += latency
-        self._trim_records()
+        self._account_batch([record], latency)
         return out, record
 
-    def _account(self, record: RequestRecord) -> None:
-        """Fold one request record into the lifetime counters."""
-        self._lifetime_requests += 1
-        self._lifetime_layer_calls += len(record.layers)
-        self._lifetime_ops = self._lifetime_ops.merge(record.total_ops())
-        self._retained_layer_count += len(record.layers)
-        for rec in record.layers:
-            self._lifetime_rho_w_sum += rec.rho_w
-            self._lifetime_rho_x_sum += rec.rho_x
+    def _account_batch(self, records: Sequence[RequestRecord],
+                       latency_s: float) -> None:
+        """Fold one engine batch's request records into the lifetime
+        counters; caller holds the lock."""
+        for record in records:
+            self._lifetime_requests += 1
+            self._lifetime_layer_calls += len(record.layers)
+            self._lifetime_ops = self._lifetime_ops.merge(record.total_ops())
+            for rec in record.layers:
+                self._lifetime_rho_w_sum += rec.rho_w
+                self._lifetime_rho_x_sum += rec.rho_x
+        self._lifetime_batches += 1
+        self._lifetime_exec_s += latency_s
 
     def run_coalesced(self, batches: Sequence[np.ndarray], *,
                       pad_axis: int | None = None, pad_value=0) -> list:
@@ -425,8 +406,8 @@ class PanaceaSession:
         positionally matched under one lock acquisition, so a concurrent
         caller on another thread can never interleave its own requests
         between this group's execution and its record attribution.  The
-        returned records stay valid even after ``max_records`` retention
-        trims them from :attr:`requests`.
+        returned records are the only copy: the session keeps just the
+        lifetime counters they were folded into.
         """
         batches = [np.asarray(b) for b in batches]
         if not batches:
@@ -486,16 +467,10 @@ class PanaceaSession:
 
         sizes = [b.shape[0] for b in padded]
         fused = np.concatenate(padded, axis=0)
-        start = len(self.trace.records)
-        t0 = time.perf_counter()
-        try:
+        with self.trace.capture() as fused_layers:
+            t0 = time.perf_counter()
             out = self.model(fused)
-        except Exception:
-            del self.trace.records[start:]
-            raise
-        latency = time.perf_counter() - t0
-        fused_layers = self.trace.records[start:]
-        del self.trace.records[start:]
+            latency = time.perf_counter() - t0
 
         # Column shares: every GEMM flattens leading dims, so request i's
         # columns are a contiguous block proportional to its row share.
@@ -518,42 +493,16 @@ class PanaceaSession:
                 index[pad_axis] = slice(0, lengths[i])
                 out_i = out_i[tuple(index)]
             outputs.append(out_i)
-            record = RequestRecord(
-                request_id=self._lifetime_requests,
+            records.append(RequestRecord(
+                request_id=self._lifetime_requests + i,
                 batch_shape=tuple(b.shape),
                 layers=per_request_layers[i],
                 latency_s=latency,
                 coalesced=len(batches),
-            )
-            self.trace.records.extend(record.layers)
-            self.requests.append(record)
-            self._account(record)
-            records.append(record)
+            ))
             row += sizes[i]
-        self._lifetime_batches += 1
-        self._lifetime_exec_s += latency
-        self._trim_records()
+        self._account_batch(records, latency)
         return outputs, records
-
-    def _trim_records(self) -> None:
-        """Drop the oldest retained requests beyond ``max_records``."""
-        if self.max_records is None or len(self.requests) <= self.max_records:
-            return
-        dropped = self.requests[:len(self.requests) - self.max_records]
-        self.requests = self.requests[len(dropped):]
-        n_dropped_layers = sum(len(r.layers) for r in dropped)
-        if len(self.trace.records) == self._retained_layer_count:
-            # Common case: run() is the only trace writer, so the dropped
-            # requests' layer records are exactly the trace head.
-            del self.trace.records[:n_dropped_layers]
-        else:
-            # A caller appended to the shared trace outside run() (e.g. by
-            # invoking session.model directly); fall back to removing the
-            # dropped records by identity so those extra records survive.
-            drop_ids = {id(rec) for req in dropped for rec in req.layers}
-            self.trace.records = [rec for rec in self.trace.records
-                                  if id(rec) not in drop_ids]
-        self._retained_layer_count -= n_dropped_layers
 
     def record_external(self, batch_shape: Sequence[int],
                         layers: "Sequence[LayerExecution]",
@@ -566,9 +515,8 @@ class PanaceaSession:
         :meth:`ExecutionTrace.capture`), so nothing lands in the shared
         accounting during execution.  This method is where those captured
         layer records become a first-class :class:`RequestRecord` — id
-        assignment, lifetime counters, trace append and ``max_records``
-        trimming all behave exactly as if :meth:`run` had served the
-        request.  Taken under the session lock.
+        assignment and lifetime counters behave exactly as if :meth:`run`
+        had served the request.  Taken under the session lock.
 
         Stages executing in *worker processes* ship their captured records
         as :meth:`LayerExecution.to_state` dicts (live records cannot
@@ -584,16 +532,11 @@ class PanaceaSession:
             record = RequestRecord(
                 request_id=self._lifetime_requests,
                 batch_shape=tuple(batch_shape),
-                layers=list(layers),
+                layers=layers,
                 latency_s=latency_s,
                 coalesced=coalesced,
             )
-            self.trace.records.extend(record.layers)
-            self.requests.append(record)
-            self._account(record)
-            self._lifetime_batches += 1
-            self._lifetime_exec_s += latency_s
-            self._trim_records()
+            self._account_batch([record], latency_s)
             return record
 
     def profile(self, batch: np.ndarray, *, repeats: int = 1) -> ProfileReport:
@@ -655,11 +598,9 @@ class PanaceaSession:
     def stats(self) -> dict:
         """Serving summary: request/layer counts, ops and mean sparsities.
 
-        All values are lifetime totals — they keep growing even when
-        ``max_records`` retention has dropped old request records.
-        ``n_retained`` reports what is still held in memory.
-        ``n_engine_batches``/``exec_s`` count fused forwards once, so
-        coalesced riders never overcount wall time.
+        All values are exact lifetime counters.  ``n_engine_batches``/
+        ``exec_s`` count fused forwards once, so coalesced riders never
+        overcount wall time.
 
         Taken under the session lock, so a concurrent reader sees one
         consistent snapshot (never, say, a request counted whose ops have
@@ -671,7 +612,6 @@ class PanaceaSession:
             return {
                 "scheme": self.config.scheme,
                 "n_requests": self._lifetime_requests,
-                "n_retained": len(self.requests),
                 "n_layer_calls": n_calls,
                 "n_plans": len(self.plans),
                 "n_engine_batches": self._lifetime_batches,

@@ -974,14 +974,23 @@ class DecodeBatcher:
         slot.fed.extend(int(t) for t in prompt[:seeded])
         suffix = prompt[seeded:]
         session = self.session
-        with session._lock:
-            with session.trace.capture() as records:
-                t0 = time.perf_counter()
-                logits = session.model.forward_step(
-                    suffix.reshape(1, -1), caches,
-                    rows=slice(row, row + 1))
-                latency = time.perf_counter() - t0
-            session.record_external((1, int(suffix.size)), records, latency)
+        try:
+            with session._lock:
+                with session.trace.capture() as records:
+                    t0 = time.perf_counter()
+                    logits = session.model.forward_step(
+                        suffix.reshape(1, -1), caches,
+                        rows=slice(row, row + 1))
+                    latency = time.perf_counter() - t0
+                session.record_external((1, int(suffix.size)), records,
+                                        latency)
+        except Exception:
+            # The layers ahead of the failing one already appended this
+            # row's K/V: free the row, as _fail_all does, so the next
+            # request admitted into it starts from an empty cache.
+            for cache in caches:
+                cache.reset_row(row)
+            raise
         slot.fed.extend(int(t) for t in suffix)
         now = self.clock()
         ticket.queue_wait_s = max(0.0, now - ticket.submitted_t)

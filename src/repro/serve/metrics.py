@@ -4,8 +4,8 @@
 wall-clock observations — queue waits, engine-batch execution, end-to-end
 request latency.  It keeps exact lifetime count/total/min/max plus a bounded
 reservoir for percentiles, so an unbounded request stream accounts in
-constant memory (matching :class:`PanaceaSession`'s ``max_records``
-philosophy: lifetime totals never stop, detail is bounded).
+constant memory (like :class:`PanaceaSession`'s lifetime counters:
+lifetime totals never stop, detail is bounded).
 """
 
 from __future__ import annotations

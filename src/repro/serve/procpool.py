@@ -502,7 +502,7 @@ class ProcessWorkerPool:
             pass
 
     def load_deployment(self, name: str, store_path, *,
-                        model_factory=None, max_records: int | None = None,
+                        model_factory=None,
                         load_kwargs: dict | None = None) -> None:
         """Rehydrate one deployment's session **in every worker**.
 
@@ -516,8 +516,6 @@ class ProcessWorkerPool:
         re-raised here from the child).
         """
         kwargs = dict(load_kwargs or {})
-        if max_records is not None:
-            kwargs["max_records"] = max_records
         self._prepare_store(store_path, kwargs)
         spec = (os.fspath(store_path), model_factory, kwargs)
         with self._lock:
@@ -702,7 +700,7 @@ class ProcessWorkerPool:
         self.wait(futures)
         parts = [f.result() for f in futures]
         merged = dict(parts[0])
-        summed = ("n_requests", "n_retained", "n_layer_calls",
+        summed = ("n_requests", "n_layer_calls",
                   "n_engine_batches", "exec_s", "mul4", "add",
                   "ema_nibbles")
         for key in summed:

@@ -305,9 +305,8 @@ class ModelServer:
         if store_path is None:
             store_path = self._snapshot_store(name, session, model_name,
                                               model_seed)
-        self._proc_pool.load_deployment(
-            name, store_path, model_factory=model_factory,
-            max_records=session.max_records)
+        self._proc_pool.load_deployment(name, store_path,
+                                        model_factory=model_factory)
         return ProcessSessionProxy(self._proc_pool, name)
 
     def register(self, name: str, session: PanaceaSession,
@@ -391,8 +390,7 @@ class ModelServer:
                      scheme: str = "aqs", exec_path: str = "fast",
                      seed: int = 0, n_calibration: int = 2,
                      calibration_batch: int = 2,
-                     policy: BatchPolicy | None = None,
-                     max_records: int | None = None, shards: int = 0,
+                     policy: BatchPolicy | None = None, shards: int = 0,
                      depth: int = 2,
                      stage_workers: int | None = None,
                      decode_policy: DecodePolicy | None = None) -> ModelEntry:
@@ -416,7 +414,7 @@ class ModelServer:
                 f"{sorted(PROXY_SPECS)}")
         model, _ = build_proxy(model_name, seed=seed)
         config = PtqConfig.for_scheme(scheme, exec_path=exec_path)
-        session = PanaceaSession(model, config, max_records=max_records)
+        session = PanaceaSession(model, config)
         session.calibrate(proxy_batches(model_name, calibration_batch,
                                         n_calibration, seed=seed + 1))
         sample = (proxy_batches(model_name, calibration_batch, 1,
@@ -445,8 +443,7 @@ class ModelServer:
         return base
 
     def load(self, name: str, path, *, model=None, model_factory=None,
-             policy: BatchPolicy | None = None,
-             max_records: int | None = None, shards: int | str = 0,
+             policy: BatchPolicy | None = None, shards: int | str = 0,
              depth: int = 2, stage_workers: int | None = None) -> ModelEntry:
         """Host a deployment rehydrated from a plan store (zero re-prepare).
 
@@ -469,7 +466,7 @@ class ModelServer:
         store = PlanStore(path)
         if model is None and model_factory is not None:
             model = model_factory()
-        session = store.load(model=model, max_records=max_records)
+        session = store.load(model=model)
         model_name = store.describe().get("model_name")
         shard_plan = None
         if shards == "stored":

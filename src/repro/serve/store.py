@@ -438,8 +438,7 @@ class PlanStore:
                 f"{self.path} has a malformed shard plan: {exc}") from exc
 
     def load(self, model=None, *, count_ops: bool = True,
-             keep_masks: bool = False, max_records: int | None = None,
-             auto_calibrate: bool = False,
+             keep_masks: bool = False, auto_calibrate: bool = False,
              mmap: bool = False) -> PanaceaSession:
         """Rehydrate a ready-to-execute session.
 
@@ -482,5 +481,4 @@ class PlanStore:
                  for name, state in payload["plans"].items()}
         return PanaceaSession.restore(
             model, config, records, plans, count_ops=count_ops,
-            keep_masks=keep_masks, max_records=max_records,
-            auto_calibrate=auto_calibrate)
+            keep_masks=keep_masks, auto_calibrate=auto_calibrate)

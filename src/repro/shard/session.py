@@ -26,8 +26,8 @@ capture their layer records thread-locally (see
 :meth:`~repro.core.pipeline.ExecutionTrace.capture`) and every completed
 request is folded back through
 :meth:`~repro.engine.session.PanaceaSession.record_external`, so
-``stats()``, ``max_records`` retention and lifetime op ledgers behave as if
-the inner session had served the requests itself.
+``stats()`` and the lifetime op ledgers behave as if the inner session had
+served the requests itself.
 """
 
 from __future__ import annotations

@@ -111,22 +111,25 @@ class TestPlanCaching:
 
 
 class TestRequestRecords:
+    @staticmethod
+    def _serve(session, batches):
+        """One request per call; returns the records the calls hand back."""
+        return [session.serve_coalesced([b])[1][0] for b in batches]
+
     def test_one_record_per_run(self):
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
                                  calibration=_batches())
-        for batch in _batches(3, seed=7):
-            session.run(batch)
-        assert [r.request_id for r in session.requests] == [0, 1, 2]
-        assert all(len(r.layers) == 2 for r in session.requests)
-        assert all(r.batch_shape == (4, 16) for r in session.requests)
+        records = self._serve(session, _batches(3, seed=7))
+        assert [r.request_id for r in records] == [0, 1, 2]
+        assert all(len(r.layers) == 2 for r in records)
+        assert all(r.batch_shape == (4, 16) for r in records)
 
     def test_request_ops_sum_to_total(self):
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
                                  calibration=_batches())
-        for batch in _batches(2, seed=8):
-            session.run(batch)
+        records = self._serve(session, _batches(2, seed=8))
         assert session.total_ops().mul4 == sum(
-            r.total_ops().mul4 for r in session.requests)
+            r.total_ops().mul4 for r in records)
         assert session.total_ops().mul4 > 0
 
     def test_run_many_streams(self):
@@ -134,7 +137,7 @@ class TestRequestRecords:
                                  calibration=_batches())
         outputs = list(session.run_many(_batches(4, seed=9)))
         assert len(outputs) == 4
-        assert len(session.requests) == 4
+        assert session.stats()["n_requests"] == 4
 
     def test_stats_summary(self):
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
@@ -160,44 +163,30 @@ class TestRequestRecords:
 
 
 class TestRecordRetention:
-    def test_default_is_unbounded(self):
-        session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches())
-        for batch in _batches(5, seed=11):
-            session.run(batch)
-        assert len(session.requests) == 5
-        assert len(session.trace.records) == 10
-
-    def test_retention_caps_requests_and_trace(self):
-        session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches(), max_records=2)
-        for batch in _batches(6, seed=12):
-            session.run(batch)
-        assert len(session.requests) == 2
-        # Only the retained requests' layer records remain in the trace.
-        assert len(session.trace.records) == 4
-        # The newest records are kept, with lifetime request ids.
-        assert [r.request_id for r in session.requests] == [4, 5]
+    """The session keeps no request records: only lifetime counters."""
 
     def test_stats_track_lifetime_totals(self):
-        bounded = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches(), max_records=1)
-        unbounded = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
+        """Lifetime stats equal the sum over the records the calls
+        returned, whichever entry point served them."""
+        via_run = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
+                                 calibration=_batches())
+        via_serve = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
                                    calibration=_batches())
+        records = []
         for batch in _batches(4, seed=13):
-            bounded.run(batch)
-            unbounded.run(batch)
-        sb, su = bounded.stats(), unbounded.stats()
-        assert sb["n_requests"] == su["n_requests"] == 4
-        assert sb["n_layer_calls"] == su["n_layer_calls"] == 8
-        assert sb["mul4"] == su["mul4"] > 0
-        assert sb["mean_rho_x"] == pytest.approx(su["mean_rho_x"])
-        assert sb["n_retained"] == 1
-        assert su["n_retained"] == 4
+            via_run.run(batch)
+            records.extend(via_serve.serve_coalesced([batch])[1])
+        sr, ss = via_run.stats(), via_serve.stats()
+        assert sr["n_requests"] == ss["n_requests"] == 4
+        assert sr["n_layer_calls"] == ss["n_layer_calls"] == 8 == sum(
+            len(r.layers) for r in records)
+        assert sr["mul4"] == ss["mul4"] == sum(
+            r.total_ops().mul4 for r in records) > 0
+        assert sr["mean_rho_x"] == pytest.approx(ss["mean_rho_x"])
 
     def test_total_ops_is_lifetime(self):
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches(), max_records=1)
+                                 calibration=_batches())
         batch = _batches(1, seed=14)[0]
         session.run(batch)
         once = session.total_ops().mul4
@@ -206,24 +195,19 @@ class TestRecordRetention:
 
     def test_zero_retention_keeps_nothing(self):
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches(), max_records=0)
+                                 calibration=_batches())
         session.run(_batches(1, seed=15)[0])
-        assert session.requests == []
         assert session.trace.records == []
         assert session.stats()["n_requests"] == 1
 
-    def test_negative_retention_rejected(self):
-        with pytest.raises(ValueError):
-            PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"), max_records=-1)
-
     def test_failed_request_leaves_no_orphan_trace_records(self):
-        """A mid-forward failure must not desynchronize trace and requests."""
+        """A mid-forward failure leaves neither trace records nor counts."""
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches(), max_records=2)
+                                 calibration=_batches())
         session.run(_batches(1, seed=16)[0])
 
-        # Fail *between* the two layers: fc1 has already appended its layer
-        # record when fc2 raises — run() must roll those orphans back.
+        # Fail *between* the two layers: fc1 has already recorded its
+        # layer execution when fc2 raises.
         fc2 = session.model.fc2
         real_forward = fc2.forward
 
@@ -237,27 +221,24 @@ class TestRecordRetention:
 
         for batch in _batches(3, seed=17):
             session.run(batch)
-        assert len(session.requests) == 2
-        assert len(session.trace.records) == sum(
-            len(r.layers) for r in session.requests)
-        assert session.stats()["n_requests"] == 4  # the failed run isn't one
+        assert session.trace.records == []
+        stats = session.stats()
+        assert stats["n_requests"] == 4  # the failed run isn't one
+        assert stats["n_layer_calls"] == 8
 
     def test_out_of_band_model_call_does_not_break_retention(self):
-        """Direct session.model(...) calls append to the shared trace; the
-        retention trim must still remove exactly the dropped requests'
-        records (by identity, not position)."""
+        """Direct session.model(...) calls land in the shared trace (the
+        PtqPipeline.convert(trace=...) ledger); serving neither adds to
+        nor trims them, and they never reach the session's counters."""
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
-                                 calibration=_batches(), max_records=1)
+                                 calibration=_batches())
         session.run(_batches(1, seed=19)[0])
         session.model(_batches(1, seed=20)[0])  # eval outside run()
-        orphan_ids = {id(r) for r in session.trace.records[2:]}
-        session.run(_batches(1, seed=21)[0])  # triggers a trim of request 0
-        retained_layer_ids = {id(r) for req in session.requests
-                              for r in req.layers}
-        trace_ids = {id(r) for r in session.trace.records}
-        assert orphan_ids <= trace_ids          # out-of-band records survive
-        assert retained_layer_ids <= trace_ids  # retained requests intact
-        assert len(session.trace.records) == 4  # 2 orphans + 2 retained
+        orphans = list(session.trace.records)
+        session.run(_batches(1, seed=21)[0])
+        assert len(orphans) == 2
+        assert session.trace.records == orphans
+        assert session.stats()["n_layer_calls"] == 4
 
 
 class TestCoalescedEdgeCases:

@@ -134,40 +134,31 @@ class TestTraceAttribution:
     def test_one_record_per_request(self):
         session = _session(seed=5)
         reqs = _batches(3, seed=10, rows=2)
-        session.run_coalesced(reqs)
-        assert [r.request_id for r in session.requests] == [0, 1, 2]
-        assert all(r.coalesced == 3 for r in session.requests)
-        assert all(len(r.layers) == 2 for r in session.requests)
-        assert all(r.latency_s > 0 for r in session.requests)
+        _, records = session.serve_coalesced(reqs)
+        assert [r.request_id for r in records] == [0, 1, 2]
+        assert all(r.coalesced == 3 for r in records)
+        assert all(len(r.layers) == 2 for r in records)
+        assert all(r.latency_s > 0 for r in records)
 
     def test_split_ops_conserve_batch_totals(self):
         session = _session(seed=6)
         reqs = _batches(4, seed=11, rows=3)
-        session.run_coalesced(reqs)
+        _, records = session.serve_coalesced(reqs)
         total = session.total_ops()
-        split = sum(r.total_ops().mul4 for r in session.requests)
+        split = sum(r.total_ops().mul4 for r in records)
         assert split == total.mul4 > 0
-        split_ema = sum(r.total_ops().ema_nibbles for r in session.requests)
+        split_ema = sum(r.total_ops().ema_nibbles for r in records)
         assert split_ema == total.ema_nibbles > 0
 
     def test_columns_apportioned_by_row_share(self):
         session = _session(seed=7)
         rng = np.random.default_rng(12)
         reqs = [rng.normal(0, 1, (rows, 16)) for rows in (1, 3)]
-        session.run_coalesced(reqs)
-        n0 = session.requests[0].layers[0].n
-        n1 = session.requests[1].layers[0].n
+        _, records = session.serve_coalesced(reqs)
+        n0 = records[0].layers[0].n
+        n1 = records[1].layers[0].n
         assert n0 + n1 == 4      # fused columns
         assert n1 == 3 * n0      # proportional to rows
-
-    def test_trace_stays_positionally_consistent(self):
-        """Retention trims positionally; coalesced splits must preserve
-        the one-record-block-per-request layout."""
-        session = _session(seed=8, max_records=2)
-        session.run_coalesced(_batches(3, seed=13, rows=2))
-        assert len(session.requests) == 2
-        assert len(session.trace.records) == sum(
-            len(r.layers) for r in session.requests)
 
 
 class TestMicroBatcher:
@@ -264,17 +255,6 @@ class TestMicroBatcher:
         ticket = batcher.submit(_batches(1, seed=26, rows=2)[0])
         batcher.flush()
         assert ticket.result().shape == (2, 8)
-
-    def test_retention_trimmed_records_leave_ticket_without_record(self):
-        session = _session(seed=16, max_records=1)
-        batcher = MicroBatcher(session, BatchPolicy(max_batch=3,
-                                                    max_delay_s=0.0))
-        tickets = [batcher.submit(b) for b in _batches(3, seed=22, rows=2)]
-        assert all(t.done for t in tickets)
-        # Only the newest record is retained; older tickets lose theirs but
-        # still carry outputs and metrics.
-        assert tickets[-1].record is not None
-        assert all(t.result().shape == (2, 8) for t in tickets)
 
 
 class TestLatencyStats:

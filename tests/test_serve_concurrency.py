@@ -66,8 +66,9 @@ def _reference_outputs():
 
 def _hammer(server, submit):
     """N_THREADS threads submitting interleaved requests; returns results
-    keyed by (thread_id, request_index) and any worker exceptions."""
-    results, errors = {}, []
+    keyed by (thread_id, request_index), any worker exceptions and the
+    ``(deployment, ticket)`` of every submit."""
+    results, errors, tickets = {}, [], []
     barrier = threading.Barrier(N_THREADS)
 
     def worker(thread_id):
@@ -80,6 +81,8 @@ def _hammer(server, submit):
                                           _request(thread_id, i))))
             for i, handle in enumerate(handles):
                 results[(thread_id, handle[0])] = handle[1].result()
+                tickets.append((_deployment_for(thread_id, i),
+                                getattr(handle[1], "ticket", handle[1])))
         except Exception as exc:  # noqa: BLE001 — surfaced to the assert
             errors.append(exc)
 
@@ -90,10 +93,10 @@ def _hammer(server, submit):
     for thread in threads:
         thread.join(timeout=60.0)
     assert not any(thread.is_alive() for thread in threads), "worker hung"
-    return results, errors
+    return results, errors, tickets
 
 
-def _assert_conserved(server, n_submitted):
+def _assert_conserved(server, n_submitted, tickets):
     """No dropped or duplicated tickets anywhere in the accounting."""
     metrics = server.metrics()
     assert metrics.n_requests + metrics.n_cache_hits == n_submitted
@@ -104,12 +107,13 @@ def _assert_conserved(server, n_submitted):
         # deployment ran exactly one session forward.
         assert sched["n_requests"] == sess["n_requests"], name
         assert sched["depth"] == 0, name
-    # Session request ids are allocated once each — the retained records
-    # must be strictly increasing with no duplicates.
+    # Session request ids are allocated once each: the records the
+    # engine-served tickets carry hold every id exactly once.
     for entry_name in server.models():
-        records = server.entry(entry_name).session.requests
-        ids = [r.request_id for r in records]
-        assert ids == sorted(set(ids)), entry_name
+        ids = sorted(t.record.request_id for name, t in tickets
+                     if name == entry_name and t.record is not None)
+        n_served = server.entry(entry_name).session.stats()["n_requests"]
+        assert ids == list(range(n_served)), entry_name
 
 
 @pytest.fixture(scope="module")
@@ -125,13 +129,14 @@ class TestBlockingSubmitStress:
         with server:
             for d in range(N_DEPLOYMENTS):
                 server.register(f"m{d}", _session(seed=d))
-            results, errors = _hammer(
+            results, errors, tickets = _hammer(
                 server, lambda srv, name, x: srv.submit(name, x))
             assert not errors, errors
             assert len(results) == N_THREADS * REQUESTS_PER_THREAD
             for key, out in results.items():
                 assert np.array_equal(out, reference[key]), key
-            _assert_conserved(server, N_THREADS * REQUESTS_PER_THREAD)
+            _assert_conserved(server, N_THREADS * REQUESTS_PER_THREAD,
+                              tickets)
 
 
 class TestAsyncSubmitStress:
@@ -141,13 +146,14 @@ class TestAsyncSubmitStress:
         with server:
             for d in range(N_DEPLOYMENTS):
                 server.register(f"m{d}", _session(seed=d))
-            results, errors = _hammer(
+            results, errors, tickets = _hammer(
                 server, lambda srv, name, x: srv.submit_async(name, x))
             assert not errors, errors
             assert len(results) == N_THREADS * REQUESTS_PER_THREAD
             for key, out in results.items():
                 assert np.array_equal(out, reference[key]), key
-            _assert_conserved(server, N_THREADS * REQUESTS_PER_THREAD)
+            _assert_conserved(server, N_THREADS * REQUESTS_PER_THREAD,
+                              tickets)
 
     def test_async_with_cache_matches_serial_replay(self, reference):
         """Caching on: duplicate payloads may short-circuit, totals still
@@ -157,12 +163,13 @@ class TestAsyncSubmitStress:
         with server:
             for d in range(N_DEPLOYMENTS):
                 server.register(f"m{d}", _session(seed=d))
-            results, errors = _hammer(
+            results, errors, tickets = _hammer(
                 server, lambda srv, name, x: srv.submit_async(name, x))
             assert not errors, errors
             for key, out in results.items():
                 assert np.array_equal(out, reference[key]), key
-            _assert_conserved(server, N_THREADS * REQUESTS_PER_THREAD)
+            _assert_conserved(server, N_THREADS * REQUESTS_PER_THREAD,
+                              tickets)
 
 
 class TestAsyncApi:
@@ -280,9 +287,9 @@ class TestAsyncApi:
 
 class TestSessionThreadSafety:
     def test_concurrent_runs_on_one_session_conserve_accounting(self):
-        """The PR-4 fix: stats()/max_records trimming must not race
-        concurrent run() calls (shared deque/counters under the lock)."""
-        session = _session(seed=0, max_records=5)
+        """stats() must not race concurrent run() calls (shared counters
+        under the lock), and serving keeps nothing in the shared trace."""
+        session = _session(seed=0)
         n_threads, per_thread = 6, 8
         errors = []
         barrier = threading.Barrier(n_threads)
@@ -305,10 +312,7 @@ class TestSessionThreadSafety:
         assert not errors, errors
         stats = session.stats()
         assert stats["n_requests"] == n_threads * per_thread
-        assert stats["n_retained"] == 5
-        # Trace and retained records stayed aligned through every trim.
-        assert len(session.trace.records) == sum(
-            len(r.layers) for r in session.requests)
+        assert session.trace.records == []
         assert stats["n_layer_calls"] == 2 * n_threads * per_thread
 
     def test_concurrent_coalesced_runs_are_bit_exact(self):

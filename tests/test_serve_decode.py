@@ -189,6 +189,29 @@ class TestDecodeBatcher:
                 ticket.result()
         assert batcher.stats()["n_failed"] == 2
 
+    def test_prefill_failure_frees_its_row(self):
+        """A prefill that raises after the attention layers appended K/V
+        must not leave them for the next request admitted into that row."""
+        session = _lm_session()
+        batcher = DecodeBatcher(session, DecodePolicy(max_batch=1,
+                                                      max_new_tokens=6))
+        first, second = _prompts(2, seed=11)
+        head = session.model.lm_head
+
+        def boom(*a, **k):
+            del head.forward  # raise once, then fall back to the class's
+            raise RuntimeError("lm_head exploded")
+
+        head.forward = boom
+        failed = batcher.submit(first)
+        with pytest.raises(RuntimeError, match="exploded"):
+            batcher.step()
+        assert failed.done and batcher.n_active == 0
+        assert all(int(cache.lengths[0]) == 0 for cache in batcher._caches)
+        tokens = batcher.submit(second).result().tolist()
+        assert tokens == _solo_decode(second, 6)
+        assert batcher.stats()["n_failed"] == 1
+
     def test_per_ticket_sampling_independent_of_batch_mix(self):
         """temperature > 0: a ticket's rng is seeded by its ticket id, so
         the same submission order replays the same tokens whatever the

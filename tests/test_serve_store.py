@@ -144,11 +144,11 @@ class TestPlanStoreRoundtrip:
         store.save(session)
         restored = store.load(model=TinyNet())
         batch = _batches(1, seed=12)[0]
-        session.run(batch)
-        restored.run(batch)
+        _, (original,) = session.serve_coalesced([batch])
+        _, (rehydrated,) = restored.serve_coalesced([batch])
         assert session.total_ops().mul4 == restored.total_ops().mul4
-        assert (session.requests[-1].total_ops().ema_nibbles
-                == restored.requests[-1].total_ops().ema_nibbles)
+        assert (original.total_ops().ema_nibbles
+                == rehydrated.total_ops().ema_nibbles)
 
     def test_save_requires_prepared_session(self, tmp_path):
         session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"))

@@ -168,22 +168,11 @@ class TestShardedSession:
                 proxy_batches("bert_base", 1, 2, seed=3))
         plain = _session()
         x = proxy_batches("bert_base", 1, 1, seed=3)[0]
-        plain.run(x)
-        expected_order = [rec.name for rec in plain.requests[0].layers]
+        _, (solo,) = plain.serve_coalesced([x])
+        expected_order = [rec.name for rec in solo.layers]
         for record in records:
             assert [rec.name for rec in record.layers] == expected_order
             assert record.latency_s > 0
-
-    def test_max_records_retention_still_trims(self):
-        session = _session(max_records=2)
-        requests = proxy_batches("bert_base", 1, 5, seed=13)
-        with ShardedSession.partition(session, 2) as sharded:
-            sharded.run_pipelined(requests)
-        assert session.stats()["n_requests"] == 5
-        assert session.stats()["n_retained"] == 2
-        # the trace trimmed in lockstep with the request records
-        assert len(session.trace.records) == sum(
-            len(r.layers) for r in session.requests)
 
     def test_ragged_requests_pipeline_without_padding(self):
         """Each micro-batch is its own engine batch, so ragged sequence
@@ -362,8 +351,9 @@ class TestProfile:
 
     def test_serving_records_carry_layer_latency(self):
         session = _session()
-        session.run(proxy_batches("bert_base", 1, 1, seed=5)[0])
-        layers = session.requests[0].layers
+        _, (record,) = session.serve_coalesced(
+            [proxy_batches("bert_base", 1, 1, seed=5)[0]])
+        layers = record.layers
         assert layers and all(rec.latency_s >= 0 for rec in layers)
         assert sum(rec.latency_s for rec in layers) > 0
 
