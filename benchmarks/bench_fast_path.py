@@ -1,19 +1,22 @@
-"""Bench E1 — collapsed-BLAS fast path vs the sliced plane-pair loop.
+"""Bench E1 — one-GEMM fast path vs the sliced plane-pair loop.
 
 The sliced AQS execute issues ``n_w_planes x n_x_planes`` BLAS calls plus
-the compensation call per request; the fast path collapses the whole loop
-into two calls on the precomputed ``w_f64`` mirror (Sibia collapses to one).
-Both are bit-exact, so the only difference is wall time.  This bench
-measures that on BERT-base and ResNet im2col shapes for the AQS and Sibia
-kernels, asserting bit-exactness on every shape before timing.
+the compensation call per request; the fast path issues one GEMM of the
+plan's weight mirror with the DBS-truncated codes (Sibia: one GEMM with the
+codes).  The mirror is float32 when the plan proves every partial sum stays
+below 2^24, float64 otherwise.  Both paths are bit-exact and report the same
+op ledger, so the only difference is wall time.  This bench measures that
+on BERT-base and ResNet im2col shapes for the AQS and Sibia kernels,
+asserting bit-exactness on every shape before timing.
 
 Emits a table to ``results/fast_path.txt`` and machine-readable numbers to
 ``results/fast_path.json``.
 
 Run:        PYTHONPATH=src python benchmarks/bench_fast_path.py
 CI smoke:   PYTHONPATH=src python benchmarks/bench_fast_path.py --smoke
-(the smoke run skips timing and only checks bit-exactness across the full
-scheme/config grid, so it is fast enough for every push)
+(the smoke run skips timing and only checks bit-exactness and identical
+op ledgers across the full scheme/config grid, narrow widths and one
+float64-gated operand set, so it is fast enough for every push)
 """
 
 import argparse
@@ -42,6 +45,8 @@ BERT_SHAPES = ("bert_base_qkv", "bert_base_fc1", "bert_base_fc2")
 # combination both kernels accept (lo_bits applies to AQS only).
 LO_BITS = (4, 5, 6)
 W_BITS = (4, 7, 10)
+# Activation widths below and across the slice-vector length v = 4.
+NARROW = (1, 2, 3)
 
 
 def _aqs_operands(m, k, n, w_bits=7, seed=0):
@@ -76,26 +81,52 @@ def _time(fn, repeats):
     return float(np.median(samples))
 
 
+def _assert_same(fast, sliced, case):
+    """Bit-identical accumulators and the whole op ledger, notes included."""
+    assert np.array_equal(fast.acc, sliced.acc), case
+    assert fast.ops == sliced.ops, case
+    assert fast.rho_x == sliced.rho_x, case
+
+
+def _check_aqs(w, x, zp, case, **kwargs):
+    fast_plan = prepare_aqs(w, zp, AqsGemmConfig(exec_path="fast", **kwargs))
+    fast = execute_aqs(fast_plan, x)
+    sliced = execute_aqs(prepare_aqs(
+        w, zp, AqsGemmConfig(exec_path="sliced", **kwargs)), x)
+    _assert_same(fast, sliced, case)
+    return fast_plan
+
+
 def check_exactness(m=48, k=96, n=24, seed=0):
-    """Fast == sliced on every scheme/config combination (the invariant)."""
+    """Fast == sliced on every scheme/config combination (the invariant).
+
+    Besides the ``n``-wide grid, every combination also runs at widths 1-3
+    (not multiples of ``v``: the ragged mask tail decode hits), and one
+    over-bound operand set (``K = 4096``, full-scale 10-bit weights) makes
+    the AQS plan take the float64 branch.
+    """
     for w_bits in W_BITS:
-        for lo_bits in LO_BITS:
-            w, x, zp = _aqs_operands(m, k, n, w_bits=w_bits, seed=seed)
-            kwargs = dict(w_bits=w_bits, lo_bits=lo_bits)
-            fast = execute_aqs(prepare_aqs(
-                w, zp, AqsGemmConfig(exec_path="fast", **kwargs)), x)
-            sliced = execute_aqs(prepare_aqs(
-                w, zp, AqsGemmConfig(exec_path="sliced", **kwargs)), x)
-            assert np.array_equal(fast.acc, sliced.acc), (w_bits, lo_bits)
-            assert fast.ops.mul4 == sliced.ops.mul4, (w_bits, lo_bits)
-        for tracked in ("weight", "activation", "auto"):
-            w, x = _sbr_operands(m, k, n, w_bits=w_bits, seed=seed)
-            fast = execute_sibia(prepare_sibia(
-                w, w_bits=w_bits, tracked=tracked, exec_path="fast"), x)
-            sliced = execute_sibia(prepare_sibia(
-                w, w_bits=w_bits, tracked=tracked, exec_path="sliced"), x)
-            assert np.array_equal(fast.acc, sliced.acc), (w_bits, tracked)
-            assert fast.ops.mul4 == sliced.ops.mul4, (w_bits, tracked)
+        for width in (n, *NARROW):
+            for lo_bits in LO_BITS:
+                w, x, zp = _aqs_operands(m, k, width, w_bits=w_bits,
+                                         seed=seed)
+                _check_aqs(w, x, zp, (w_bits, lo_bits, width),
+                           w_bits=w_bits, lo_bits=lo_bits)
+            for tracked in ("weight", "activation", "auto"):
+                w, x = _sbr_operands(m, k, width, w_bits=w_bits, seed=seed)
+                fast = execute_sibia(prepare_sibia(
+                    w, w_bits=w_bits, tracked=tracked, exec_path="fast"), x)
+                sliced = execute_sibia(prepare_sibia(
+                    w, w_bits=w_bits, tracked=tracked, exec_path="sliced"), x)
+                _assert_same(fast, sliced, (w_bits, tracked, width))
+    rng = np.random.default_rng(seed)
+    w = np.full((8, 4096), 511, dtype=np.int64)
+    w[::3] = -512
+    x = rng.integers(150, 256, (4096, 3))
+    for lo_bits in LO_BITS:
+        plan = _check_aqs(w, x, 168, ("over-bound", lo_bits), w_bits=10,
+                          lo_bits=lo_bits)
+        assert plan.w_blas.dtype == np.float64, lo_bits
 
 
 def measure_shape(name, m, k, n, repeats=5):
@@ -143,7 +174,7 @@ def run(repeats=5):
         ["layer", "M", "K", "N", "aqs sliced (ms)", "aqs fast (ms)",
          "aqs speedup", "sibia speedup"],
         rows,
-        title="collapsed-BLAS fast path vs sliced plane-pair loop "
+        title="one-GEMM fast path vs sliced plane-pair loop "
               f"(BERT median aqs speedup "
               f"{results['_summary']['bert_median_aqs_speedup']:.2f}x)"))
     emit_json("fast_path", results)
@@ -173,8 +204,11 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.smoke:
         check_exactness()
-        print("fast-path smoke: fast == sliced on the full "
-              f"w_bits x lo_bits/tracked grid ({len(W_BITS) * len(LO_BITS)} "
-              f"AQS + {len(W_BITS) * 3} Sibia combinations)")
+        widths = 1 + len(NARROW)
+        print("fast-path smoke: fast == sliced (acc and OpCounts) on the "
+              f"w_bits x lo_bits/tracked x width grid "
+              f"({len(W_BITS) * len(LO_BITS) * widths} AQS + "
+              f"{len(W_BITS) * 3 * widths} Sibia combinations) and "
+              f"{len(LO_BITS)} float64-gated AQS sets")
         sys.exit(0)
     run(repeats=args.repeats)

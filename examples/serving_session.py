@@ -12,7 +12,7 @@ slices, all-zero HO vector masks, RLE indices, the Eq. 6 compensation bias.
 
 The demo serves a stream of batches through an AQS-quantized transformer
 block stack and shows that repeated requests re-use the cached plans.  The
-session uses the default ``exec_path="fast"`` (collapsed-BLAS online path;
+session uses the default ``exec_path="fast"`` (one exact GEMM per layer;
 pass ``PtqConfig(exec_path="sliced")`` for the plane-pair reference).  The
 session keeps only lifetime counters, so an unbounded request stream serves
 in constant memory; a caller that wants one request's layer records takes

@@ -34,6 +34,7 @@ __all__ = [
     "sbr_total_bits",
     "unsigned_total_bits",
     "dbs_reconstruct_codes",
+    "check_unsigned_range",
 ]
 
 
@@ -117,6 +118,12 @@ def unsigned_total_bits(n_slices: int, slice_bits: int = 4) -> int:
     return n_slices * slice_bits
 
 
+def check_unsigned_range(q: np.ndarray, total_bits: int) -> None:
+    """Raise ``ValueError`` unless every code fits ``total_bits`` unsigned."""
+    if q.size and (q.min() < 0 or q.max() >= (1 << total_bits)):
+        raise ValueError(f"values out of range for {total_bits}-bit unsigned")
+
+
 def slice_unsigned(q: np.ndarray, total_bits: int = 8,
                    slice_bits: int = 4) -> SliceStack:
     """Straightforward slicing of unsigned integers (paper Fig. 3a).
@@ -130,8 +137,7 @@ def slice_unsigned(q: np.ndarray, total_bits: int = 8,
         raise ValueError(
             f"total_bits={total_bits} is not a multiple of slice_bits={slice_bits}"
         )
-    if np.any(q < 0) or np.any(q >= (1 << total_bits)):
-        raise ValueError(f"values out of range for {total_bits}-bit unsigned")
+    check_unsigned_range(q, total_bits)
     n = total_bits // slice_bits
     mask = (1 << slice_bits) - 1
     planes = tuple((q >> (slice_bits * i)) & mask for i in range(n))
@@ -191,8 +197,7 @@ def slice_dbs(q: np.ndarray, lo_bits: int = 4, total_bits: int = 8) -> SliceStac
     q = np.asarray(q, dtype=np.int64)
     if lo_bits < 4 or lo_bits >= total_bits:
         raise ValueError(f"lo_bits must be in [4, {total_bits - 1}], got {lo_bits}")
-    if np.any(q < 0) or np.any(q >= (1 << total_bits)):
-        raise ValueError(f"values out of range for {total_bits}-bit unsigned")
+    check_unsigned_range(q, total_bits)
     ho = q >> lo_bits
     lo_full = q & ((1 << lo_bits) - 1)
     drop = lo_bits - 4

@@ -64,11 +64,20 @@ def activation_vector_mask(ho_plane: np.ndarray, v: int = 4,
     of ``v`` consecutive columns per row.  Returns ``(K, ceil(N/v))``,
     ``True`` where the vector has a slice different from ``compress_value``
     (``r`` for asymmetric quantization, 0 for symmetric).
+
+    Equal to grouping the plane padded with ``compress_value``, but never
+    pads: the full groups reshape in place and a ragged tail group is the
+    ``any`` over its own columns (decode runs this at ``N < v`` per layer).
     """
-    padded = pad_to_multiple(np.asarray(ho_plane), v, axis=1, fill=compress_value)
-    ng = padded.shape[1] // v
-    grouped = padded.reshape(padded.shape[0], ng, v)
-    return np.any(grouped != compress_value, axis=2)
+    differs = np.asarray(ho_plane) != compress_value
+    k, n = differs.shape
+    full = n // v
+    if full * v == n:
+        return differs.reshape(k, full, v).any(axis=2)
+    mask = np.empty((k, full + 1), dtype=bool)
+    mask[:, :full] = differs[:, :full * v].reshape(k, full, v).any(axis=2)
+    mask[:, full] = differs[:, full * v:].any(axis=1)
+    return mask
 
 
 def expand_weight_mask(mask: np.ndarray, v: int, m: int) -> np.ndarray:

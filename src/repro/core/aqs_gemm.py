@@ -17,25 +17,32 @@ The kernel is bit-exact against the dense integer GEMM for ``l = 4`` and
 bit-exact against the DBS-truncated activation codes for ``l > 4``.
 
 Execution is two-phase: :func:`prepare_aqs` runs the static weight path once
-(SBR slicing, compressibility mask, RLE index sizing, compensation rows —
-the paper's "offline" work) into an :class:`AqsLayerPlan`, and
+(SBR slicing, compressibility mask, RLE index sizing, the weight-only ledger
+terms — the paper's "offline" work) into an :class:`AqsLayerPlan`, and
 :func:`execute_aqs` runs the per-request activation path against it.  The
 one-shot :func:`aqs_gemm` is a thin, bit-exact wrapper over the two.
 
-``exec_path`` selects how the online matmuls are issued.  The ``"sliced"``
-path mirrors the hardware: one BLAS call per (weight plane, activation
-plane) pair plus the compensation call.  The ``"fast"`` path (default)
-exploits that the SBR planes reconstruct ``W`` exactly and that
-``ho_weight == 2**ho_shift``, collapsing the whole loop into two BLAS calls
-on the precomputed ``w_f64`` mirror:
+Because the compensation restores exactly what the skipping dropped, the
+AQS result is ``W_q @ x_trunc``, where ``x_trunc = x_q & ~(2^(l-4) - 1)`` is
+the DBS-truncated code (``x_q`` itself for ``l = 4``).  Skipping is a cost
+to be counted, not a product to be emulated, so ``exec_path`` selects how
+the numbers are produced:
 
-``acc = 2^s * W (x_HO - r) J^U  +  W x_low  +  b'``
+* ``"fast"`` (default) issues **one** BLAS GEMM ``W @ x_trunc`` on the
+  plan's single weight mirror.  The plan proves once, when it is built,
+  whether ``max_m sum_k |w_mk| * (2^x_bits - 1) < 2^24``; when it holds
+  every partial sum is an integer float32 represents exactly, so the mirror
+  is float32, and float64 otherwise
+  (:func:`~repro.gemm.dense.exact_blas_dtype`).
+* ``"sliced"`` mirrors the hardware: one BLAS call per (weight plane,
+  activation plane) pair plus the compensation call.  It is the reference
+  oracle the fast path is tested against.
 
-where ``x_low`` is the radix-combined stack of lower activation planes.
-Every accumulator stays far below 2**53, so each float64 matmul is exact and
-the two paths are bit-identical; the op ledger is derived from the masks, not
-the matmuls, so it is unchanged.  ``"sliced"`` is retained as the
-verification reference.
+The op ledger is read off the compressibility masks alone, never off the
+matmuls: the activation mask ``ux`` comes from the HO plane
+``x_q >> ho_shift`` compared with ``r`` per ``v``-group, the weight-only
+terms are summed once into the plan, and the ledger runs only when
+``count_ops`` is on.  Both paths therefore report identical counts.
 """
 
 from __future__ import annotations
@@ -45,24 +52,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bitslice.rle import rle_index_bits_batch
-from ..bitslice.slicing import SliceStack, slice_dbs, slice_sbr, slice_unsigned
+from ..bitslice.slicing import (
+    SliceStack,
+    check_unsigned_range,
+    slice_dbs,
+    slice_sbr,
+    slice_unsigned,
+)
 from ..bitslice.vectors import (
     activation_vector_mask,
     expand_activation_mask,
     vector_sparsity,
     weight_vector_mask,
 )
+from ..gemm.dense import exact_blas_dtype, exact_matmul
 from ..gemm.workload import OpCounts, validate_exec_path
 
 __all__ = ["AqsGemmConfig", "AqsGemmResult", "AqsLayerPlan", "aqs_gemm",
            "prepare_aqs", "execute_aqs", "compensation_bias",
            "frequent_ho_slice"]
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 BLAS matmul, exact for the bounded integer magnitudes here."""
-    return np.rint(np.asarray(a, dtype=np.float64)
-                   @ np.asarray(b, dtype=np.float64)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -73,8 +81,8 @@ class AqsGemmConfig:
     activation width (``4k + 4``); ``lo_bits`` is the DBS split ``l`` (4 =
     basic scheme, 5/6 = DBS type-2/3).  ``v`` is the slice-vector length and
     ``index_bits`` the RLE index width.  ``exec_path`` picks the online BLAS
-    strategy: ``"fast"`` (two collapsed calls, the default) or ``"sliced"``
-    (one call per plane pair, the bit-exact verification reference).
+    strategy: ``"fast"`` (one exact GEMM, the default) or ``"sliced"`` (one
+    call per plane pair, the bit-exact verification reference).
     """
 
     w_bits: int = 7
@@ -106,6 +114,11 @@ class AqsGemmConfig:
         slicing (these coincide at ``l = 4, x_bits = 8``).
         """
         return self.lo_bits if self.lo_bits > 4 else self.x_bits - 4
+
+    @property
+    def n_x_slices(self) -> int:
+        """Activation slice count: two for DBS, ``x_bits / 4`` otherwise."""
+        return 2 if self.lo_bits > 4 else self.x_bits // 4
 
 
 @dataclass
@@ -159,10 +172,11 @@ class AqsLayerPlan:
     """Every weight-derived artifact of the AQS-GEMM, computed once.
 
     Holds the SBR slice stack, the weight compressibility mask and its RLE
-    index budget, the compressible activation slice ``r`` and the Eq. 6
-    compensation rows ``b'/n = (r << ho_shift) * rowsum(W)``.  Float64 mirror
-    copies of the weight operands are kept so the per-request BLAS calls skip
-    the int64->float64 casts.
+    index budget, and the compressible activation slice ``r``.  Derived on
+    construction (so :meth:`from_state` rebuilds them and the stored format
+    carries none): the single BLAS mirror ``w_blas`` of ``W`` in the
+    narrowest dtype proven exact for ``x_bits``-wide activations, and the
+    weight-only ledger terms ``uw_col = uw.sum(axis=0)`` and ``sum_uw``.
     """
 
     config: AqsGemmConfig
@@ -175,15 +189,18 @@ class AqsLayerPlan:
     rho_w: float
     w_rle_bits: int
     engine: str = "aqs"
-    b_row: np.ndarray = field(init=False, repr=False)
-    w_f64: np.ndarray = field(init=False, repr=False)
+    w_blas: np.ndarray = field(init=False, repr=False)
+    uw_col: np.ndarray = field(init=False, repr=False)
+    sum_uw: int = field(init=False, repr=False)
     _w_planes_f64: tuple[np.ndarray, ...] | None = field(
         init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        rowsum = self.w_q.sum(axis=1)
-        self.b_row = (self.r << self.ho_shift) * rowsum
-        self.w_f64 = self.w_q.astype(np.float64)
+        x_max = (1 << self.config.x_bits) - 1
+        self.w_blas = self.w_q.astype(exact_blas_dtype(self.w_q, x_max),
+                                      copy=False)
+        self.uw_col = self.uw.sum(axis=0, dtype=np.int64)
+        self.sum_uw = int(self.uw_col.sum())
 
     @property
     def w_planes_f64(self) -> tuple[np.ndarray, ...]:
@@ -206,7 +223,7 @@ class AqsLayerPlan:
         return self.w_q.shape[1]
 
     def state_dict(self) -> dict:
-        """Serializable snapshot; derived float caches are rebuilt on load."""
+        """Serializable snapshot; derived mirrors and sums are rebuilt on load."""
         from dataclasses import asdict
 
         return {
@@ -271,53 +288,51 @@ def execute_aqs(plan: AqsLayerPlan, x_q: np.ndarray) -> AqsGemmResult:
 
     Bit-exact against the one-shot :func:`aqs_gemm` on either ``exec_path``:
     the sliced path reproduces the accumulation order of the hardware loop,
-    and the fast path computes the same exact integer sum with two collapsed
-    BLAS calls (see the module docstring).  The op ledger is mask-derived and
+    and the fast path computes the same integer sum as one exact GEMM on the
+    truncated codes (see the module docstring).  Codes outside ``x_bits``
+    raise ``ValueError`` on both paths.  The op ledger is mask-derived and
     identical on both paths.
     """
     config = plan.config
     x_q = np.asarray(x_q, dtype=np.int64)
-    m, k = plan.w_q.shape
-    if x_q.ndim != 2 or k != x_q.shape[0]:
+    if x_q.ndim != 2 or plan.k != x_q.shape[0]:
         raise ValueError(
             f"shape mismatch: W is {plan.w_q.shape}, x is {x_q.shape}")
-    n = x_q.shape[1]
-
-    v = config.v
-    x_stack = _slice_activation(x_q, config)
-    r, ho_shift = plan.r, plan.ho_shift
-
-    ux = activation_vector_mask(x_stack.ho, v=v, compress_value=r)
-    ux_e = expand_activation_mask(ux, v, n).astype(np.int64)
 
     if config.exec_path == "fast":
-        acc = _execute_fast(plan, x_stack, ux_e, m, n)
+        check_unsigned_range(x_q, config.x_bits)
+        ux = activation_vector_mask(x_q >> plan.ho_shift, v=config.v,
+                                    compress_value=plan.r)
+        drop = config.lo_bits - 4
+        x_trunc = x_q & ~((1 << drop) - 1) if drop else x_q
+        acc = exact_matmul(plan.w_blas, x_trunc)
     else:
-        acc = _execute_sliced(plan, x_stack, ux_e, m, n)
+        x_stack = _slice_activation(x_q, config)
+        ux = activation_vector_mask(x_stack.ho, v=config.v,
+                                    compress_value=plan.r)
+        acc = _execute_sliced(plan, x_stack, ux)
 
-    ops = OpCounts()
-    if config.count_ops:
-        _count_aqs_ops(ops, plan.w_stack, x_stack, plan.uw, ux, config,
-                       m, k, n, plan.w_rle_bits)
     return AqsGemmResult(
         acc=acc,
-        ops=ops,
+        ops=_count_aqs_ops(plan, ux) if config.count_ops else OpCounts(),
         rho_w=plan.rho_w,
         rho_x=vector_sparsity(ux),
-        r=r,
+        r=plan.r,
         uw_mask=plan.uw,
         ux_mask=ux,
     )
 
 
 def _execute_sliced(plan: AqsLayerPlan, x_stack: SliceStack,
-                    ux_e: np.ndarray, m: int, n: int) -> np.ndarray:
+                    ux: np.ndarray) -> np.ndarray:
     """Reference path: one BLAS call per (weight, activation) plane pair.
 
     This mirrors the hardware's slice-product loop and is kept as the
     verification reference for the fast path.
     """
     r, ho_shift = plan.r, plan.ho_shift
+    (m, _), n = plan.w_q.shape, x_stack.shape[1]
+    ux_e = expand_activation_mask(ux, plan.config.v, n).astype(np.int64)
     # --- bit-slice GEMMs over uncompressed slices (Eq. 5, first term) -----
     # Compressed weight HO vectors are all-zero, so using the raw HO plane is
     # already the skipped computation; the activation HO plane is masked to
@@ -328,41 +343,15 @@ def _execute_sliced(plan: AqsLayerPlan, x_stack: SliceStack,
     acc = np.zeros((m, n), dtype=np.int64)
     for wi, w_plane in enumerate(plan.w_planes_f64):
         w_scale = plan.w_stack.weights[wi]
-        acc += (w_scale * x_stack.ho_weight) * _exact_matmul(w_plane, x_ho_u)
+        acc += (w_scale * x_stack.ho_weight) * exact_matmul(w_plane, x_ho_u)
         for xi in range(x_stack.n_slices - 1):
-            acc += (w_scale * x_stack.weights[xi]) * _exact_matmul(
+            acc += (w_scale * x_stack.weights[xi]) * exact_matmul(
                 w_plane, x_lo_f[xi])
 
     # --- compensation (Eq. 6): reuse loaded weight slices -----------------
     # -r*(W_HO+W_LO) J^U + b'   with   b' = (W_HO+W_LO)(r * 1)
-    acc += (np.broadcast_to(plan.b_row[:, None], (m, n))
-            - (r << ho_shift) * _exact_matmul(plan.w_f64, ux_e))
-    return acc
-
-
-def _execute_fast(plan: AqsLayerPlan, x_stack: SliceStack,
-                  ux_e: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Collapsed path: the whole plane-pair loop in two BLAS calls.
-
-    The SBR planes reconstruct ``W`` exactly, so summing the per-plane
-    products equals multiplying by ``W`` itself; and because
-    ``ho_weight == 2**ho_shift``, the masked HO product and the Eq. 6
-    compensation matmul share the operand ``(x_HO - r) * J^U``:
-
-    ``acc = 2^s * W ((x_HO - r) J^U) + W x_low + b'``
-
-    Both matmuls stay below 2**53 in magnitude, so the float64 BLAS results
-    are exact integers and the sum is bit-identical to the sliced loop.
-    """
-    x_ho_u = ((x_stack.ho - plan.r) * ux_e).astype(np.float64)
-    acc = x_stack.ho_weight * _exact_matmul(plan.w_f64, x_ho_u)
-    if x_stack.n_slices > 1:
-        x_low = x_stack.planes[0].astype(np.float64) * x_stack.weights[0]
-        for xi in range(1, x_stack.n_slices - 1):
-            x_low += (x_stack.planes[xi].astype(np.float64)
-                      * x_stack.weights[xi])
-        acc += _exact_matmul(plan.w_f64, x_low)
-    acc += np.broadcast_to(plan.b_row[:, None], (m, n))
+    acc += (compensation_bias(plan.w_q, r, ho_shift, n)
+            - (r << ho_shift) * exact_matmul(plan.w_blas, ux_e))
     return acc
 
 
@@ -387,34 +376,26 @@ def aqs_gemm(
     return execute_aqs(prepare_aqs(w_q, zp, config), x_q)
 
 
-def _count_aqs_ops(
-    ops: OpCounts,
-    w_stack: SliceStack,
-    x_stack: SliceStack,
-    uw: np.ndarray,
-    ux: np.ndarray,
-    config: AqsGemmConfig,
-    m: int,
-    k: int,
-    n: int,
-    w_rle_bits: int,
-) -> None:
-    """Fill the measured-op ledger from the compressibility masks.
+def _count_aqs_ops(plan: AqsLayerPlan, ux: np.ndarray) -> OpCounts:
+    """The measured-op ledger, read off the compressibility masks.
 
     Counting is done at outer-product granularity: each executed product is
     ``v*v`` multiplies plus ``v*v`` accumulator additions.  The Eq. 6
     compensation adds one ``v x v`` outer product per output tile and
     ``v * n_w_planes`` weight-slice accumulations per uncompressed
-    activation vector.  ``w_rle_bits`` is the weight-side RLE index budget,
-    already sized offline by :func:`prepare_aqs`.
+    activation vector.  Every weight-only term (``uw_col``, ``sum_uw`` and
+    the weight-side RLE budget ``w_rle_bits``) was summed once by the plan;
+    per call only the activation mask ``ux`` is reduced.
     """
+    config = plan.config
     v = config.v
-    mg, ng = uw.shape[0], ux.shape[1]
-    nw = w_stack.n_slices
-    nx = x_stack.n_slices
+    (mg, k), ng = plan.uw.shape, ux.shape[1]
+    nw = plan.w_stack.n_slices
+    nx = config.n_x_slices
     unit = v * v
-    sum_uw = int(uw.sum())
-    sum_ux = int(ux.sum())
+    ux_row = ux.sum(axis=1, dtype=np.int64)
+    sum_uw = plan.sum_uw
+    sum_ux = int(ux_row.sum())
     if nw == 1:
         # 4-bit weights have a single slice and no HO plane to skip (paper
         # Fig. 19); the lone plane behaves like a dense LO plane.
@@ -425,8 +406,7 @@ def _count_aqs_ops(
     else:
         # HO(w) x HO(x): both vectors must be uncompressed, joint per-k
         # coupling.
-        hoho = int((uw.sum(axis=0).astype(np.int64)
-                    * ux.sum(axis=1).astype(np.int64)).sum())
+        hoho = int(plan.uw_col @ ux_row)
         # lower W planes x HO(x): runs wherever the activation vector
         # survives.
         loho = (nw - 1) * mg * sum_ux
@@ -435,6 +415,7 @@ def _count_aqs_ops(
         # lower x lower: fully dense (the SWO workload).
         lolo = (nw - 1) * (nx - 1) * mg * k * ng
     gemm_products = hoho + loho + holo + lolo
+    ops = OpCounts()
     ops.mul4 = unit * gemm_products
     ops.add = unit * gemm_products
     ops.notes["dynamic_products"] = hoho + loho + holo
@@ -458,5 +439,6 @@ def _count_aqs_ops(
         ops.ema_nibbles = v * (sum_uw + (nw - 1) * mg * k)
     ops.ema_nibbles += v * (sum_ux + (nx - 1) * k * ng)
     # Activation streams run along K, one per mask column; sized as a batch.
-    ops.rle_index_bits = w_rle_bits + int(
+    ops.rle_index_bits = plan.w_rle_bits + int(
         rle_index_bits_batch(ux.T, config.index_bits).sum())
+    return ops

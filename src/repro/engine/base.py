@@ -51,7 +51,7 @@ class EngineConfig:
     split ``l`` (AQS only), ``v`` the slice-vector length, ``index_bits`` the
     RLE index width and ``tracked`` the exploited side (Sibia only).
     ``exec_path`` selects the online BLAS strategy of the bit-slice kernels:
-    ``"fast"`` (collapsed calls, the default) or ``"sliced"`` (one call per
+    ``"fast"`` (one exact GEMM, the default) or ``"sliced"`` (one call per
     plane pair — the bit-exact verification reference).
     """
 

@@ -18,7 +18,38 @@ from .workload import OpCounts
 
 __all__ = ["DenseGemmResult", "Int8DensePlan", "integer_gemm",
            "dense_gemm_reference", "fold_bias", "prepare_int8_dense",
-           "execute_int8_dense"]
+           "execute_int8_dense", "exact_blas_dtype", "exact_matmul"]
+
+#: Each BLAS dtype with the magnitude below which it holds every integer
+#: exactly (its significand width), narrowest first.
+_EXACT_LIMITS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+
+
+def exact_blas_dtype(w_q: np.ndarray, x_max: int) -> np.dtype:
+    """Narrowest dtype in which ``w_q @ x`` is exact whenever ``|x| <= x_max``.
+
+    Every partial sum of output row ``m`` is bounded by
+    ``sum_k |w_mk| * x_max``.  While that bound stays below ``2^p`` (``p`` the
+    significand width), every product and every intermediate sum is an
+    integer the float represents exactly, whatever order or fusion BLAS
+    uses, so the float GEMM equals the integer one bit for bit.  Past
+    float64's range the plain int64 matmul is returned.
+    """
+    w_q = np.asarray(w_q, dtype=np.int64)
+    bound = int(np.abs(w_q).sum(axis=1).max(initial=0)) * int(x_max)
+    for dtype, limit in _EXACT_LIMITS:
+        if bound < limit:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def exact_matmul(w_blas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w_blas @ x`` in ``w_blas``'s dtype, returned as int64.
+
+    ``w_blas`` is a weight mirror cast to :func:`exact_blas_dtype`, so for
+    activations within the bound it was sized for the result is exact.
+    """
+    return (w_blas @ x.astype(w_blas.dtype, copy=False)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -58,8 +89,9 @@ class Int8DensePlan:
     """Prepared state of the dense integer baseline.
 
     The dense GEMM has almost no offline work — the plan caches the int64
-    view and a float64 mirror of the weight so per-request BLAS calls skip
-    the cast, plus the widths the op accounting needs.
+    view and one BLAS mirror of the weight in the narrowest exact dtype for
+    ``x_bits``-wide activations (:func:`exact_blas_dtype`), plus the widths
+    the op accounting needs.
     """
 
     w_q: np.ndarray
@@ -67,10 +99,16 @@ class Int8DensePlan:
     x_bits: int = 8
     count_ops: bool = True
     engine: str = "int8_dense"
-    w_f64: np.ndarray = field(init=False, repr=False)
+    w_blas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.w_f64 = self.w_q.astype(np.float64)
+        self.w_blas = self.w_q.astype(
+            exact_blas_dtype(self.w_q, self.x_max), copy=False)
+
+    @property
+    def x_max(self) -> int:
+        """Largest activation magnitude, signed or unsigned ``x_bits`` codes."""
+        return (1 << self.x_bits) - 1
 
     @property
     def m(self) -> int:
@@ -108,6 +146,8 @@ def execute_int8_dense(plan: Int8DensePlan,
 
     Op accounting follows the dense-baseline convention: an 8b x 8b MAC is
     four 4b x 4b multiplications, and EMA ships both operands dense.
+    Activations wider than ``x_bits`` raise ``ValueError``: the BLAS mirror
+    is only exact within that width.
     """
     x_q = np.asarray(x_q, dtype=np.int64)
     m, k = plan.w_q.shape
@@ -115,7 +155,9 @@ def execute_int8_dense(plan: Int8DensePlan,
         raise ValueError(
             f"shape mismatch: W is {plan.w_q.shape}, x is {x_q.shape}")
     n = x_q.shape[1]
-    acc = np.rint(plan.w_f64 @ x_q.astype(np.float64)).astype(np.int64)
+    if x_q.size and int(np.abs(x_q).max()) > plan.x_max:
+        raise ValueError(f"values out of range for {plan.x_bits}-bit activations")
+    acc = exact_matmul(plan.w_blas, x_q)
     ops = OpCounts()
     if plan.count_ops:
         ops.mul4 = 4 * m * k * n

@@ -17,11 +17,13 @@ static weight path once into a :class:`SibiaLayerPlan` and
 
 ``exec_path`` selects the online BLAS strategy.  ``"sliced"`` issues one
 call per (weight plane, activation plane) pair, mirroring the hardware loop.
-``"fast"`` (default) issues a single ``W @ x`` call on the precomputed
-``w_f64`` mirror: the SBR planes reconstruct both operands exactly and the
-tracked-side mask only zeroes vectors that are already all-zero, so the
-collapsed product is bit-identical to the accumulated slice products.  The
-op ledger is mask-derived and unchanged.
+``"fast"`` (default) issues a single ``W @ x`` call on the plan's BLAS
+mirror of ``W`` (float32 when :func:`~repro.gemm.dense.exact_blas_dtype`
+proves it exact for ``x_bits``-wide activations, float64 otherwise): the SBR
+planes reconstruct both operands exactly and the tracked-side mask only
+zeroes vectors that are already all-zero, so the collapsed product is
+bit-identical to the accumulated slice products.  The op ledger is
+mask-derived and unchanged.
 """
 
 from __future__ import annotations
@@ -38,20 +40,11 @@ from ..bitslice.vectors import (
     vector_sparsity,
     weight_vector_mask,
 )
+from .dense import exact_blas_dtype, exact_matmul
 from .workload import OpCounts, validate_exec_path
 
 __all__ = ["SibiaGemmResult", "SibiaLayerPlan", "sibia_gemm", "prepare_sibia",
            "execute_sibia"]
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """BLAS matmul that is exact for the integer magnitudes involved.
-
-    All accumulators in 8-bit-ish GEMMs stay far below 2**53, so float64
-    arithmetic is exact and vastly faster than NumPy's integer matmul.
-    """
-    return np.rint(np.asarray(a, dtype=np.float64)
-                   @ np.asarray(b, dtype=np.float64)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -92,14 +85,20 @@ class SibiaLayerPlan:
     exec_path: str = "fast"
     _w_planes_f64: tuple[np.ndarray, ...] | None = field(
         init=False, repr=False, default=None)
-    _w_f64: np.ndarray | None = field(init=False, repr=False, default=None)
+    _w_blas: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @property
-    def w_f64(self) -> np.ndarray:
-        """Float64 weight mirror, built lazily (fast path only)."""
-        if self._w_f64 is None:
-            self._w_f64 = self.w_q.astype(np.float64)
-        return self._w_f64
+    def w_blas(self) -> np.ndarray:
+        """Exact BLAS weight mirror, built lazily (fast path only).
+
+        SBR activations satisfy ``|x| <= 2^(x_bits-1)`` (``slice_sbr``
+        range-checks them), which is the bound the dtype is sized for.
+        """
+        if self._w_blas is None:
+            self._w_blas = self.w_q.astype(
+                exact_blas_dtype(self.w_q, 1 << (self.x_bits - 1)),
+                copy=False)
+        return self._w_blas
 
     @property
     def w_planes_f64(self) -> tuple[np.ndarray, ...]:
@@ -207,8 +206,8 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
         # The SBR planes reconstruct both operands exactly and the tracked
         # mask only zeroes all-zero vectors, so the accumulated slice
         # products collapse to the plain product — one BLAS call, exact in
-        # float64 for these magnitudes, hence bit-identical to the loop.
-        acc = _exact_matmul(plan.w_f64, x_q)
+        # the mirror's dtype, hence bit-identical to the loop.
+        acc = exact_matmul(plan.w_blas, x_q)
     else:
         acc = np.zeros((m, n), dtype=np.int64)
         uw_e = expand_weight_mask(uw, v, m)
@@ -219,7 +218,7 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
             for xi, x_plane in enumerate(x_planes_f64):
                 x_eff = x_plane * ux_e if (tracked == "activation" and xi == x_stack.n_slices - 1) else x_plane
                 scale = w_stack.weights[wi] * x_stack.weights[xi]
-                acc += scale * _exact_matmul(w_eff, x_eff)
+                acc += scale * exact_matmul(w_eff, x_eff)
 
     ops = OpCounts()
     if plan.count_ops:

@@ -39,8 +39,8 @@ __all__ = [
     "table1_panacea",
 ]
 
-#: Online BLAS strategies of the bit-slice kernels: ``"fast"`` collapses the
-#: plane-pair loop, ``"sliced"`` mirrors the hardware loop (the reference).
+#: Online BLAS strategies of the bit-slice kernels: ``"fast"`` issues one
+#: exact GEMM, ``"sliced"`` mirrors the hardware loop (the reference).
 EXEC_PATHS = ("fast", "sliced")
 
 

@@ -25,8 +25,13 @@ _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximated GELU (the variant used by GPT-2/BERT)."""
-    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x ** 3)))
+    """Tanh-approximated GELU (the variant used by GPT-2/BERT).
+
+    The cube is two multiplies because ``x ** 3`` goes through ``pow``,
+    which is several times slower than the rest of the function.
+    """
+    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI
+                                    * (x + 0.044715 * (x * x * x))))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -116,3 +116,24 @@ def test_property_vector_sparsity_lower_bounds_slice_sparsity(m, k, r):
     mask = activation_vector_mask(ho, v=4, compress_value=r)
     slice_sp = float(np.mean(ho == r))
     assert vector_sparsity(mask) <= slice_sp + 1e-9
+
+
+def _padded_activation_mask(ho, v, compress_value):
+    """The grouping reference: pad with the compressible value, reshape."""
+    padded = pad_to_multiple(ho, v, axis=1, fill=compress_value)
+    grouped = padded.reshape(padded.shape[0], -1, v)
+    return np.any(grouped != compress_value, axis=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from([0, 9]), st.integers(1, 6), st.integers(0, 2**16))
+def test_property_activation_mask_matches_padded_reference(n, v, r, k, seed):
+    """The pad-free mask equals grouping the r-padded plane, ragged or not."""
+    rng = np.random.default_rng(seed)
+    ho = rng.choice([r, r + 1, 0], size=(k, n), p=[0.7, 0.2, 0.1])
+    mask = activation_vector_mask(ho, v=v, compress_value=r)
+    ref = _padded_activation_mask(ho, v, r)
+    assert mask.dtype == bool
+    assert mask.shape == ref.shape == (k, -(-n // v))
+    assert np.array_equal(mask, ref)

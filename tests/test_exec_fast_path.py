@@ -1,8 +1,9 @@
 """Fast execution path: bit-exactness vs the sliced reference, end to end.
 
-The collapsed-BLAS fast path must be bit-identical to the sliced plane-pair
-loop on every scheme/config combination — this is the non-negotiable
-invariant of the ``exec_path`` knob.  Covered here at three levels: the raw
+The one-GEMM fast path must be bit-identical to the sliced plane-pair loop
+on every scheme/config combination — this is the non-negotiable invariant
+of the ``exec_path`` knob — and its float32/float64 exactness gate must
+pick float64 exactly when float32 could round.  Covered here at three levels: the raw
 kernels (AQS across the full ``lo_bits`` x ``w_bits`` grid, Sibia across
 ``w_bits`` x tracked sides), the engine registry (``EngineConfig`` /
 ``execute_many``), and the PTQ pipeline (per-tensor and per-channel
@@ -12,9 +13,15 @@ weights).
 import numpy as np
 import pytest
 
-from repro.core.aqs_gemm import AqsGemmConfig, execute_aqs, prepare_aqs
+from repro.core.aqs_gemm import (
+    AqsGemmConfig,
+    AqsLayerPlan,
+    execute_aqs,
+    prepare_aqs,
+)
 from repro.core.pipeline import PtqConfig, PtqPipeline
 from repro.engine import EngineConfig, get_engine
+from repro.gemm.dense import execute_int8_dense, prepare_int8_dense
 from repro.gemm.sibia_gemm import (
     SibiaLayerPlan,
     execute_sibia,
@@ -102,13 +109,97 @@ class TestAqsFastPath:
     def test_config_round_trips_through_state(self):
         rng = np.random.default_rng(3)
         w, x, zp = _aqs_case(rng)
-        from repro.core.aqs_gemm import AqsLayerPlan
-
         plan = prepare_aqs(w, zp, AqsGemmConfig(exec_path="sliced"))
         clone = AqsLayerPlan.from_state(plan.state_dict())
         assert clone.config.exec_path == "sliced"
         assert np.array_equal(execute_aqs(clone, x).acc,
                               execute_aqs(plan, x).acc)
+
+
+class TestExactnessGate:
+    """The plan's BLAS mirror is float32 only while float32 is exact.
+
+    The gate is ``max_m sum_k |w_mk| * (2^x_bits - 1) < 2^24``.  With
+    10-bit weights at full scale and 8-bit activations one row carries
+    ``512 * 255`` per reduction step, so ``K = 128`` sits just under the
+    bound and ``K = 4096`` far over it.
+    """
+
+    @staticmethod
+    def _plan(w, lo_bits=4):
+        return prepare_aqs(w, 168, AqsGemmConfig(w_bits=10, lo_bits=lo_bits))
+
+    @pytest.mark.parametrize("lo_bits", [4, 6])
+    def test_just_under_bound_is_float32_and_exact(self, lo_bits):
+        rng = np.random.default_rng(17)
+        w = np.full((8, 128), -512, dtype=np.int64)
+        w[::2] = 511
+        assert np.abs(w).sum(axis=1).max() * 255 < 1 << 24
+        x = rng.integers(0, 256, (128, 5))
+        x[:, 0] = 255
+        plan = self._plan(w, lo_bits)
+        assert plan.w_blas.dtype == np.float32
+        x_trunc = x & ~((1 << (lo_bits - 4)) - 1)
+        res = execute_aqs(plan, x)
+        assert np.array_equal(res.acc, w @ x_trunc)
+        ref = execute_aqs(prepare_aqs(w, 168, AqsGemmConfig(
+            w_bits=10, lo_bits=lo_bits, exec_path="sliced")), x)
+        assert np.array_equal(res.acc, ref.acc)
+
+    def test_one_step_over_bound_is_float64(self):
+        w = np.full((4, 129), -512, dtype=np.int64)
+        assert np.abs(w).sum(axis=1).max() * 255 >= 1 << 24
+        assert self._plan(w).w_blas.dtype == np.float64
+
+    def test_over_bound_is_float64_and_exact(self):
+        rng = np.random.default_rng(23)
+        k = 4096
+        w = np.full((4, k), 511, dtype=np.int64)
+        x = rng.integers(200, 256, (k, 3))
+        x[:, 0] = 255
+        plan = self._plan(w)
+        assert plan.w_blas.dtype == np.float64
+        exact = w @ x
+        assert np.array_equal(execute_aqs(plan, x).acc, exact)
+        # The gate matters: the same product forced through float32 rounds.
+        forced = (w.astype(np.float32) @ x.astype(np.float32)).astype(np.int64)
+        assert not np.array_equal(forced, exact)
+
+    def test_state_round_trip_rederives_dtype(self):
+        for k, dtype in ((128, np.float32), (4096, np.float64)):
+            plan = self._plan(np.full((4, k), 511, dtype=np.int64))
+            assert plan.w_blas.dtype == dtype
+            state = plan.state_dict()
+            assert "w_blas" not in state
+            clone = AqsLayerPlan.from_state(state)
+            assert clone.w_blas.dtype == dtype
+            assert np.array_equal(clone.uw_col, plan.uw_col)
+            assert clone.sum_uw == plan.sum_uw
+
+    def test_out_of_range_codes_raise_on_both_paths(self):
+        w = np.ones((4, 8), dtype=np.int64)
+        for exec_path in ("fast", "sliced"):
+            plan = prepare_aqs(w, 128, AqsGemmConfig(exec_path=exec_path))
+            for bad in (256, -1):
+                x = np.zeros((8, 2), dtype=np.int64)
+                x[3, 1] = bad
+                with pytest.raises(ValueError, match="out of range"):
+                    execute_aqs(plan, x)
+
+    def test_dense_and_sibia_mirrors_follow_the_gate(self):
+        small = np.full((2, 64), 127, dtype=np.int64)
+        wide = np.full((2, 4096), 127, dtype=np.int64)
+        assert prepare_int8_dense(small).w_blas.dtype == np.float32
+        assert prepare_int8_dense(wide).w_blas.dtype == np.float64
+        x = np.full((4096, 2), 255, dtype=np.int64)
+        assert np.array_equal(execute_int8_dense(
+            prepare_int8_dense(wide), x)[0], wide @ x)
+        with pytest.raises(ValueError, match="out of range"):
+            execute_int8_dense(prepare_int8_dense(small),
+                               np.full((64, 1), 256))
+        assert prepare_sibia(small % 64).w_blas.dtype == np.float32
+        assert prepare_sibia(np.full((2, 40000), 63)).w_blas.dtype == \
+            np.float64
 
 
 class TestSibiaFastPath:

@@ -144,6 +144,27 @@ class TestFunctional:
         assert y.min() > -0.2
         assert y.max() == pytest.approx(6.0, abs=0.01)
 
+    def test_gelu_matches_pow_formula(self):
+        """The ``x * x * x`` cube agrees with the ``x ** 3`` formula.
+
+        The tanh argument and every output with ``x >= -1`` agree to
+        ``rtol=1e-15``.  In the negative tail ``1 + tanh`` cancels, which
+        magnifies any last-ulp change relatively, so there the outputs are
+        held to ``1e-15 * |x|`` absolute.
+        """
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.linspace(-12, 12, 4001),
+                            rng.normal(0, 3, 20000)])
+        c = np.sqrt(2.0 / np.pi)
+        ref_arg = x + 0.044715 * x ** 3
+        ref = 0.5 * x * (1.0 + np.tanh(c * ref_arg))
+        out = F.gelu(x)
+        np.testing.assert_allclose(x + 0.044715 * (x * x * x), ref_arg,
+                                   rtol=1e-15, atol=0)
+        calm = x >= -1
+        np.testing.assert_allclose(out[calm], ref[calm], rtol=1e-15, atol=0)
+        assert np.all(np.abs(out - ref) <= 1e-15 * np.maximum(np.abs(x), 1))
+
     def test_relu(self):
         assert F.relu(np.array([-1.0, 2.0])).tolist() == [0.0, 2.0]
 
