@@ -7,7 +7,6 @@ monotonic clock::
     |-- queue_wait               <- submit .. batch fire
     |-- batch_release            <- fire .. engine dispatch
     |-- engine_execute           <- the fused forward
-    |   |-- stage[k]             <- sharded pipelines only
     `-- respond                  <- serialization / socket write
 
 The demo deploys a model behind the gateway, serves a few requests, then

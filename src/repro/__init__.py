@@ -17,15 +17,12 @@ Public API layers:
 * ``repro.serve`` — the serving subsystem: :class:`ModelServer` multi-model
   hosting, :class:`BatchPolicy` dynamic micro-batching and the persistent
   :class:`PlanStore`;
-* ``repro.shard`` — sharded pipeline-parallel execution:
-  :class:`ShardPlan` stage partitions, the cost-model-driven
-  :func:`auto_partition` and :class:`ShardedSession` pipelined serving;
 * ``repro.nn`` / ``repro.models`` — the NumPy NN substrate and model zoo;
 * ``repro.hw`` — Panacea / Sibia / systolic / SIMD performance models;
 * ``repro.eval`` — experiment drivers reproducing the paper's figures.
 """
 
-from . import bitslice, core, engine, gemm, nn, quant, serve, shard
+from . import bitslice, core, engine, gemm, nn, quant, serve
 from .core import (
     AqsGemmConfig,
     ExecutionTrace,
@@ -45,7 +42,6 @@ from .engine import (
 )
 from .quant import QuantParams, asymmetric_params, quantize, symmetric_params
 from .serve import BatchPolicy, ModelServer, PlanStore
-from .shard import ShardedSession, ShardPlan, auto_partition
 
 __version__ = "1.0.0"
 
@@ -57,13 +53,9 @@ __all__ = [
     "nn",
     "quant",
     "serve",
-    "shard",
     "BatchPolicy",
     "ModelServer",
     "PlanStore",
-    "ShardedSession",
-    "ShardPlan",
-    "auto_partition",
     "EngineConfig",
     "PanaceaSession",
     "available_engines",

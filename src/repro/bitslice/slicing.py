@@ -22,6 +22,7 @@ radix weight so reconstruction is always ``sum_i plane_i * weight_i``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "unsigned_total_bits",
     "dbs_reconstruct_codes",
     "check_unsigned_range",
+    "check_signed_range",
+    "sbr_ho_zero_range",
 ]
 
 
@@ -124,6 +127,13 @@ def check_unsigned_range(q: np.ndarray, total_bits: int) -> None:
         raise ValueError(f"values out of range for {total_bits}-bit unsigned")
 
 
+def check_signed_range(q: np.ndarray, total_bits: int) -> None:
+    """Raise ``ValueError`` unless every code fits ``total_bits`` signed."""
+    bound = 1 << (total_bits - 1)
+    if q.size and (q.min() < -bound or q.max() >= bound):
+        raise ValueError(f"values out of range for {total_bits}-bit signed")
+
+
 def slice_unsigned(q: np.ndarray, total_bits: int = 8,
                    slice_bits: int = 4) -> SliceStack:
     """Straightforward slicing of unsigned integers (paper Fig. 3a).
@@ -165,9 +175,7 @@ def slice_sbr(q: np.ndarray, total_bits: int = 7) -> SliceStack:
     if (total_bits - 4) % 3:
         raise ValueError(f"SBR needs total_bits = 3n+4, got {total_bits}")
     n = (total_bits - 4) // 3
-    lo_bound, hi_bound = -(1 << (total_bits - 1)), (1 << (total_bits - 1)) - 1
-    if np.any(q < lo_bound) or np.any(q > hi_bound):
-        raise ValueError(f"values out of range for {total_bits}-bit signed")
+    check_signed_range(q, total_bits)
     planes: list[np.ndarray] = []
     rest = q.copy()
     for _ in range(n):
@@ -182,6 +190,23 @@ def slice_sbr(q: np.ndarray, total_bits: int = 7) -> SliceStack:
         raise AssertionError("SBR high-order slice escaped [-8, 7]")
     weights = tuple(8 ** i for i in range(n + 1))
     return SliceStack(planes=tuple(planes), weights=weights, signed=True)
+
+
+@functools.lru_cache(maxsize=None)
+def sbr_ho_zero_range(total_bits: int) -> tuple[int, int]:
+    """The codes ``[lo, hi]`` whose SBR high-order slice is zero.
+
+    Every step of :func:`slice_sbr` is monotone in the code, so the HO
+    slice is too and its zero set is one interval (``[-8, 7]`` for 7
+    bits).  Derived once per width by slicing the full code range, so a
+    caller can read the HO-zero mask straight off the codes.
+    """
+    bound = 1 << (total_bits - 1)
+    codes = np.arange(-bound, bound, dtype=np.int64)
+    zero = codes[slice_sbr(codes, total_bits=total_bits).ho == 0]
+    if zero[-1] - zero[0] + 1 != zero.size:
+        raise AssertionError("SBR HO-zero codes are not one interval")
+    return int(zero[0]), int(zero[-1])
 
 
 def slice_dbs(q: np.ndarray, lo_bits: int = 4, total_bits: int = 8) -> SliceStack:

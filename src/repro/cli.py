@@ -5,8 +5,8 @@ Eleven commands cover the everyday workflows:
 * ``list-models`` — the benchmark zoo with shapes and MAC counts;
 * ``engines`` — the registered GEMM engines and their config constraints;
 * ``profile <model>`` — per-layer bit-slice sparsity under a policy;
-  ``--measure`` adds the proxy session's measured per-layer latency (the
-  shard partitioner's cost signal) and the hw bound classification;
+  ``--measure`` adds the proxy session's measured per-layer latency and
+  the hw bound classification;
 * ``simulate <model>`` — run the accelerator models and print the
   comparison table;
 * ``serve <model>`` — host the model on a :class:`ModelServer` and push
@@ -16,9 +16,8 @@ Eleven commands cover the everyday workflows:
   attaches the concurrent worker pool with async submission,
   ``--backend process`` executes the deployment in spawned BLAS-pinned
   worker processes (``--blas-threads`` caps each worker's BLAS pool),
-  ``--cache-kib`` enables the per-deployment result cache, ``--repeats``
-  resubmits the stream to exercise it and ``--shards``/``--depth`` deploy
-  the model as a stage pipeline);
+  ``--cache-kib`` enables the per-deployment result cache and
+  ``--repeats`` resubmits the stream to exercise it);
 * ``decode <model>`` — autoregressively decode a ragged prompt mix
   through the continuous-batching scheduler over KV-cached incremental
   forwards (``--max-batch`` caps concurrent sequences, ``--refill``
@@ -33,9 +32,7 @@ Eleven commands cover the everyday workflows:
 * ``loadgen <model>`` — replay a deterministic open-loop schedule
   (Poisson or bursty MMPP arrivals) against a running gateway and print
   the same latency/goodput dashboard;
-* ``shard <model>`` — auto-partition a proxy into balanced pipeline
-  stages (measured or modeled costs) and stream a request set through
-  the pipelined vs serial paths;
+* ``trace <id>`` — fetch one request's span tree from a running gateway;
 * ``plan export <model>`` / ``plan load <path>`` — persist a converted
   model's layer plans to a :class:`PlanStore` file and rehydrate a serving
   session from one with zero re-prepare work;
@@ -105,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate every Nth transformer block")
     p_prof.add_argument("--measure", action="store_true",
                         help="additionally run the proxy session and print "
-                             "measured per-layer latency (the shard "
-                             "partitioner's cost signal) plus the hw bound "
+                             "measured per-layer latency plus the hw bound "
                              "classification")
     p_prof.add_argument("--repeats", type=int, default=3,
                         help="forwards averaged by --measure")
@@ -154,17 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--repeats", type=int, default=1,
                          help="times the request stream is submitted "
                               "(duplicates exercise the result cache)")
-    p_serve.add_argument("--shards", type=int, default=0,
-                         help="pipeline stages the deployment is split "
-                              "into (0/1 = unsharded); stages overlap "
-                              "across queued requests")
-    p_serve.add_argument("--depth", type=int, default=2,
-                         help="max in-flight micro-batches of a sharded "
-                              "deployment's pipeline")
-    p_serve.add_argument("--stage-workers", type=int, default=None,
-                         help="driver threads of a sharded deployment's "
-                              "owned stage pool (default: one per stage, "
-                              "capped at the core count)")
     p_serve.add_argument("--trace-sample", type=float, default=1.0,
                          help="fraction of requests to trace "
                               "(0 disables tracing, 1 traces everything)")
@@ -278,25 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="decode generation budget (LM proxies)")
     p_lg.add_argument("--seed", type=int, default=0)
 
-    p_shard = sub.add_parser(
-        "shard",
-        help="auto-partition a proxy model and serve a pipelined demo")
-    p_shard.add_argument("model")
-    p_shard.add_argument("--scheme", default="aqs",
-                         choices=["aqs", "sibia", "int8_dense", "fp32"])
-    p_shard.add_argument("--stages", type=int, default=3,
-                         help="pipeline stages to balance the layers into")
-    p_shard.add_argument("--depth", type=int, default=4,
-                         help="max in-flight micro-batches")
-    p_shard.add_argument("--requests", type=int, default=8,
-                         help="micro-batches streamed through the pipeline")
-    p_shard.add_argument("--batch", type=int, default=2,
-                         help="rows per micro-batch")
-    p_shard.add_argument("--modeled", action="store_true",
-                         help="balance on modeled MAC volume instead of a "
-                              "measured profile")
-    p_shard.add_argument("--seed", type=int, default=0)
-
     p_plan = sub.add_parser(
         "plan", help="persist/load converted models as plan stores")
     plan_sub = p_plan.add_subparsers(dest="plan_command", required=True)
@@ -399,9 +365,7 @@ def _profile_measured(args, config, out) -> int:
     """Measured per-layer latency + hw bound classification (--measure).
 
     The latency table comes from :meth:`PanaceaSession.profile` on the
-    runnable proxy — the same measurement path the shard auto-partitioner
-    balances stages on — so what this table shows is exactly what
-    ``repro shard`` would split.  The bound table classifies the full-shape
+    runnable proxy.  The bound table classifies the full-shape
     config's layers on the Panacea hardware model
     (:func:`repro.hw.analysis.analyze`).
     """
@@ -510,9 +474,6 @@ def _cmd_serve(args, out) -> int:
     if args.cache_kib < 0:
         print(f"--cache-kib must be >= 0, got {args.cache_kib}", file=out)
         return 2
-    if args.shards < 0:
-        print(f"--shards must be >= 0, got {args.shards}", file=out)
-        return 2
     if args.backend == "process" and args.workers < 1:
         print("--backend process needs --workers >= 1 "
               "(the worker-process count)", file=out)
@@ -532,8 +493,7 @@ def _cmd_serve(args, out) -> int:
     t0 = time.perf_counter()
     server.deploy_proxy(deployment, args.model, scheme=args.scheme,
                         exec_path=args.exec_path, seed=args.seed,
-                        policy=policy, shards=args.shards, depth=args.depth,
-                        stage_workers=args.stage_workers)
+                        policy=policy)
     prepare_s = time.perf_counter() - t0
 
     requests = proxy_batches(args.model, args.batch, args.requests,
@@ -589,13 +549,6 @@ def _cmd_serve(args, out) -> int:
               f"{n_submitted} submissions "
               f"(hit rate {metrics.cache_hit_rate:.0%}, "
               f"{metrics.cache['bytes'] / 1024:.1f} KiB held)", file=out)
-    if metrics.pipelines and deployment in metrics.pipelines:
-        pipe = metrics.pipelines[deployment]
-        stage_ms = ", ".join(
-            f"s{s['stage']} {s['exec']['mean_ms']:.1f}ms"
-            for s in pipe["stages"])
-        print(f"pipeline: {pipe['n_stages']} stages (depth {pipe['depth']}, "
-              f"{pipe['source']} costs): {stage_ms}", file=out)
     print(f"lifetime ops: mul4={sess['mul4']:.3g} add={sess['add']:.3g} "
           f"ema_nibbles={sess['ema_nibbles']:.3g}  "
           f"mean rho_w {sess['mean_rho_w']:.3f}  "
@@ -885,64 +838,6 @@ def _cmd_loadgen(args, out) -> int:
     return 0
 
 
-def _cmd_shard(args, out) -> int:
-    import time
-
-    import numpy as np
-
-    from .core.pipeline import PtqConfig
-    from .engine import PanaceaSession
-    from .eval.tables import format_table
-    from .models.zoo import PROXY_SPECS, build_proxy, proxy_batches
-    from .shard import ShardedSession, auto_partition
-
-    if args.model not in PROXY_SPECS:
-        print(f"no runnable proxy for {args.model!r}; "
-              f"available: {sorted(PROXY_SPECS)}", file=out)
-        return 2
-    if args.stages < 1:
-        print(f"--stages must be >= 1, got {args.stages}", file=out)
-        return 2
-    model, _ = build_proxy(args.model, seed=args.seed)
-    session = PanaceaSession(model, PtqConfig.for_scheme(args.scheme))
-    t0 = time.perf_counter()
-    session.calibrate(proxy_batches(args.model, 2, 2, seed=args.seed + 1))
-    prepare_s = time.perf_counter() - t0
-    sample = (None if args.modeled
-              else proxy_batches(args.model, args.batch, 1,
-                                 seed=args.seed + 2)[0])
-    plan = auto_partition(session, args.stages, sample=sample)
-    rows = [[r["stage"], " ".join(r["segments"]), r["n_layers"],
-             r["cost_share"]] for r in plan.summary()]
-    print(format_table(
-        ["stage", "segments", "layers", "cost share"], rows,
-        title=f"{args.model}/{args.scheme}: {plan.n_stages} stages "
-              f"({plan.source} costs, balance {plan.balance:.2f}, "
-              f"prepared in {prepare_s * 1e3:.0f} ms)"), file=out)
-
-    requests = proxy_batches(args.model, args.batch, args.requests,
-                             seed=args.seed + 3)
-    t0 = time.perf_counter()
-    serial_expected = [session.run(x) for x in requests]
-    serial_s = time.perf_counter() - t0
-    with ShardedSession(session, plan, depth=args.depth) as sharded:
-        t0 = time.perf_counter()
-        outputs = sharded.run_pipelined(requests)
-        pipe_s = time.perf_counter() - t0
-        stage_stats = sharded.stage_stats()
-    for got, expect in zip(outputs, serial_expected):
-        assert np.array_equal(got, expect), "pipelined output != run()"
-    print(f"streamed {len(requests)} micro-batches (depth {args.depth}): "
-          f"pipelined {pipe_s * 1e3:.0f} ms vs serial "
-          f"{serial_s * 1e3:.0f} ms ({serial_s / pipe_s:.2f}x); outputs "
-          "bit-exact vs session.run", file=out)
-    for s in stage_stats["stages"]:
-        print(f"  stage {s['stage']}: {s['n_batches']} batches, exec "
-              f"p50 {s['exec']['p50_ms']:.1f} ms, stall "
-              f"p50 {s['stall']['p50_ms']:.2f} ms", file=out)
-    return 0
-
-
 def _cmd_plan_export(args, out) -> int:
     import time
 
@@ -1037,8 +932,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_loadgen(args, out)
     if args.command == "trace":
         return _cmd_trace(args, out)
-    if args.command == "shard":
-        return _cmd_shard(args, out)
     if args.command == "plan":
         if args.plan_command == "export":
             return _cmd_plan_export(args, out)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,42 +161,10 @@ class LayerExecution:
     lo_bits: int = 4
     #: Wall-clock seconds of this layer call (quantize + execute +
     #: dequantize), measured by the quantized layer itself so the serving
-    #: profiler and the shard partitioner share one measurement path.
+    #: records and the profiler share one measurement path.
     latency_s: float = 0.0
     uw_mask: np.ndarray | None = field(default=None, repr=False)
     ux_mask: np.ndarray | None = field(default=None, repr=False)
-
-    def to_state(self) -> dict:
-        """A picklable plain-dict snapshot (masks dropped).
-
-        The cross-process trace fold-back path: a pipeline stage executing
-        in a worker process serializes its captured records with this and
-        the parent rehydrates them via :meth:`from_state`, so sharded
-        accounting stays unified in the parent session no matter where the
-        stage ran.  Masks are debug-only views of engine internals and do
-        not cross the boundary.
-        """
-        return {
-            "name": self.name, "m": self.m, "k": self.k, "n": self.n,
-            "rho_w": self.rho_w, "rho_x": self.rho_x,
-            "ops": asdict(self.ops),
-            "scheme": self.scheme, "w_bits": self.w_bits,
-            "x_bits": self.x_bits, "lo_bits": self.lo_bits,
-            "latency_s": self.latency_s,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LayerExecution":
-        """Inverse of :meth:`to_state`."""
-        return cls(
-            name=str(state["name"]), m=int(state["m"]), k=int(state["k"]),
-            n=int(state["n"]), rho_w=float(state["rho_w"]),
-            rho_x=float(state["rho_x"]),
-            ops=OpCounts(**state["ops"]),
-            scheme=str(state["scheme"]), w_bits=int(state["w_bits"]),
-            x_bits=int(state["x_bits"]), lo_bits=int(state["lo_bits"]),
-            latency_s=float(state["latency_s"]),
-        )
 
 
 class ExecutionTrace:
@@ -208,9 +176,9 @@ class ExecutionTrace:
     active on a thread, that thread's :meth:`add` calls land in the
     capture's local list instead of ``records``.  Every
     :class:`~repro.engine.session.PanaceaSession` serving path collects
-    this way, so a serving session's ``records`` stays empty, and pipeline
-    stages can execute the same layer modules concurrently on several
-    threads without interleaving their records.
+    this way, so a serving session's ``records`` stays empty, and several
+    threads can execute the same layer modules concurrently without
+    interleaving their records.
     """
 
     def __init__(self, keep_masks: bool = False) -> None:

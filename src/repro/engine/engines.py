@@ -27,8 +27,7 @@ def _validated(x_q: np.ndarray, k: int, w_shape, dtype) -> np.ndarray:
     """Convert + shape-check one activation batch *before* the timed window.
 
     Every engine's ``latency_s`` is consumed downstream as kernel cost —
-    the profile CLI, the shard auto-partitioner and the serving records all
-    key on it — so dtype conversion (a full copy for float inputs) and
+    the profile CLI and the serving records both key on it — so dtype conversion (a full copy for float inputs) and
     validation must not ride inside the ``perf_counter`` window.  The
     kernels still re-check cheaply (an ``asarray`` on an already-converted
     array is a no-op view), keeping them safe to call directly.

@@ -67,9 +67,8 @@ class ServiceModel:
     expectation comes from — ``base_s`` is the per-forward overhead
     outside the GEMM layers (norms, softmax, Python dispatch) and
     ``per_item_s`` the measured GEMM cost of one batch row, both derived
-    from the same :class:`LayerProfile` measurements the shard
-    partitioner balances on (one measurement path, per the serving
-    design).
+    from the same :class:`LayerProfile` measurements the serving records
+    carry (one measurement path, per the serving design).
     """
 
     base_s: float
@@ -392,8 +391,8 @@ class PanaceaSession:
                                     pad_value=pad_value)[0]
 
     #: The batcher may pass per-request tracing spans via ``traces=``.
-    #: The fused path has no internal stages, so spans gain request
-    #: attribution attributes only — no child spans.
+    #: Spans gain request attribution attributes only — the fused path
+    #: opens no child spans.
     accepts_traces = True
 
     def serve_coalesced(self, batches: Sequence[np.ndarray], *,
@@ -510,29 +509,19 @@ class PanaceaSession:
                         coalesced: int = 1) -> RequestRecord:
         """Fold an externally-executed request into the session's ledger.
 
-        The sharded pipeline executes this session's layer modules on worker
-        threads with the trace *captured* per stage (see
-        :meth:`ExecutionTrace.capture`), so nothing lands in the shared
-        accounting during execution.  This method is where those captured
-        layer records become a first-class :class:`RequestRecord` — id
-        assignment and lifetime counters behave exactly as if :meth:`run`
-        had served the request.  Taken under the session lock.
-
-        Stages executing in *worker processes* ship their captured records
-        as :meth:`LayerExecution.to_state` dicts (live records cannot
-        cross the boundary); those are rehydrated here, so remote-stage
-        accounting folds back identically to thread-stage accounting.
+        The decode scheduler executes this session's layer modules with the
+        trace *captured* (see :meth:`ExecutionTrace.capture`), so nothing
+        lands in the shared accounting during execution.  This method is
+        where those captured layer records become a first-class
+        :class:`RequestRecord` — id assignment and lifetime counters behave
+        exactly as if :meth:`run` had served the request.  Taken under the
+        session lock.
         """
-        from ..core.pipeline import LayerExecution
-
-        layers = [LayerExecution.from_state(layer)
-                  if isinstance(layer, dict) else layer
-                  for layer in layers]
         with self._lock:
             record = RequestRecord(
                 request_id=self._lifetime_requests,
                 batch_shape=tuple(batch_shape),
-                layers=layers,
+                layers=list(layers),
                 latency_s=latency_s,
                 coalesced=coalesced,
             )
@@ -546,8 +535,8 @@ class PanaceaSession:
         pure measurement: nothing is added to the request ledger or the
         lifetime counters.  Each GEMM layer's latency comes from the layer
         itself (``LayerExecution.latency_s`` — the same number every serving
-        record carries), which is the one measurement path the shard
-        partitioner, the profile CLI and the serving records share.
+        record carries), which is the one measurement path the profile CLI
+        and the serving records share.
 
         Layer aggregation is by dotted name, in first-execution order.
         """

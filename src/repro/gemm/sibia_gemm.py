@@ -22,8 +22,11 @@ mirror of ``W`` (float32 when :func:`~repro.gemm.dense.exact_blas_dtype`
 proves it exact for ``x_bits``-wide activations, float64 otherwise): the SBR
 planes reconstruct both operands exactly and the tracked-side mask only
 zeroes vectors that are already all-zero, so the collapsed product is
-bit-identical to the accumulated slice products.  The op ledger is
-mask-derived and unchanged.
+bit-identical to the accumulated slice products.  The fast path never
+slices the activation: SBR's HO slice is zero exactly on one interval of
+codes (:func:`~repro.bitslice.slicing.sbr_ho_zero_range`), so the
+activation mask is read off the codes themselves.  The op ledger is
+mask-derived and identical on both paths.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bitslice.slicing import SliceStack, slice_sbr
+from ..bitslice.slicing import (SliceStack, check_signed_range,
+                                sbr_ho_zero_range, slice_sbr)
 from ..bitslice.vectors import (
     activation_vector_mask,
     expand_activation_mask,
@@ -68,7 +72,9 @@ class SibiaLayerPlan:
     request because it compares against the activation sparsity.  When the
     weight has a single slice there is no HO plane to skip and the mask is
     forced dense (``single_w_slice``).  ``exec_path`` picks the online BLAS
-    strategy (``"fast"`` or ``"sliced"``).
+    strategy (``"fast"`` or ``"sliced"``).  The weight-only ledger term
+    ``sum_uw`` is derived on construction, so the stored format carries
+    none.
     """
 
     w_q: np.ndarray
@@ -86,13 +92,17 @@ class SibiaLayerPlan:
     _w_planes_f64: tuple[np.ndarray, ...] | None = field(
         init=False, repr=False, default=None)
     _w_blas: np.ndarray | None = field(init=False, repr=False, default=None)
+    sum_uw: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.sum_uw = int(self.uw.sum())
 
     @property
     def w_blas(self) -> np.ndarray:
         """Exact BLAS weight mirror, built lazily (fast path only).
 
-        SBR activations satisfy ``|x| <= 2^(x_bits-1)`` (``slice_sbr``
-        range-checks them), which is the bound the dtype is sized for.
+        SBR activations satisfy ``|x| <= 2^(x_bits-1)`` (both exec paths
+        range-check them), which is the bound the dtype is sized for.
         """
         if self._w_blas is None:
             self._w_blas = self.w_q.astype(
@@ -187,11 +197,19 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
 
     v = plan.v
     w_stack = plan.w_stack
-    x_stack = slice_sbr(x_q, total_bits=plan.x_bits)
+    if plan.exec_path == "fast":
+        lo, hi = sbr_ho_zero_range(plan.x_bits)
+        check_signed_range(x_q, plan.x_bits)
+        ux = activation_vector_mask((x_q < lo) | (x_q > hi), v=v,
+                                    compress_value=0)
+        nx = (plan.x_bits - 4) // 3 + 1
+    else:
+        x_stack = slice_sbr(x_q, total_bits=plan.x_bits)
+        ux = activation_vector_mask(x_stack.ho, v=v, compress_value=0)
+        nx = x_stack.n_slices
     uw = plan.uw
-    ux = activation_vector_mask(x_stack.ho, v=v, compress_value=0)
     rho_w = plan.rho_w
-    rho_x = vector_sparsity(ux) if x_stack.n_slices > 1 else 0.0
+    rho_x = vector_sparsity(ux) if nx > 1 else 0.0
     tracked = plan.tracked
     if plan.single_w_slice:
         tracked = "activation" if tracked in ("auto", "weight") else tracked
@@ -216,14 +234,12 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
         for wi, w_plane in enumerate(plan.w_planes_f64):
             w_eff = w_plane * uw_e if (tracked == "weight" and wi == w_stack.n_slices - 1) else w_plane
             for xi, x_plane in enumerate(x_planes_f64):
-                x_eff = x_plane * ux_e if (tracked == "activation" and xi == x_stack.n_slices - 1) else x_plane
+                x_eff = x_plane * ux_e if (tracked == "activation" and xi == nx - 1) else x_plane
                 scale = w_stack.weights[wi] * x_stack.weights[xi]
                 acc += scale * exact_matmul(w_eff, x_eff)
 
-    ops = OpCounts()
-    if plan.count_ops:
-        _count_sibia_ops(ops, w_stack, x_stack, uw, ux, tracked, v, m, k, n,
-                         plan.w_bits, plan.x_bits)
+    ops = (_count_sibia_ops(plan, ux, tracked, n, nx) if plan.count_ops
+           else OpCounts())
     return SibiaGemmResult(acc=acc, ops=ops, rho_w=rho_w, rho_x=rho_x,
                            tracked=tracked, uw_mask=uw, ux_mask=ux)
 
@@ -252,24 +268,18 @@ def sibia_gemm(
     return execute_sibia(plan, x_q)
 
 
-def _count_sibia_ops(
-    ops: OpCounts,
-    w_stack: SliceStack,
-    x_stack: SliceStack,
-    uw: np.ndarray,
-    ux: np.ndarray,
-    tracked: str,
-    v: int,
-    m: int,
-    k: int,
-    n: int,
-    w_bits: int,
-    x_bits: int,
-) -> None:
-    mg, ng = uw.shape[0], ux.shape[1]
-    sum_uw = int(uw.sum())
+def _count_sibia_ops(plan: SibiaLayerPlan, ux: np.ndarray, tracked: str,
+                     n: int, nx: int) -> OpCounts:
+    """The measured-op ledger, read off the compressibility masks.
+
+    The weight-only ``sum_uw`` was summed once by the plan; per call only
+    the activation mask ``ux`` is reduced.
+    """
+    v = plan.v
+    (m, k), mg, ng = plan.w_q.shape, plan.uw.shape[0], ux.shape[1]
+    sum_uw = plan.sum_uw
     sum_ux = int(ux.sum())
-    nw, nx = w_stack.n_slices, x_stack.n_slices
+    nw = plan.w_stack.n_slices
     unit = v * v  # one outer product = v*v multiplies and accumulations
     if tracked == "weight":
         # Products with W's HO plane run only for uncompressed weight vectors.
@@ -279,8 +289,10 @@ def _count_sibia_ops(
         sparse_products = nw * mg * sum_ux
         dense_products = nw * (nx - 1) * mg * k * ng
     total = unit * (sparse_products + dense_products)
+    ops = OpCounts()
     ops.mul4 = total
     ops.add = total
     # Sibia ships dense operands: value_bits per element, in nibbles.
-    ops.ema_nibbles = int(np.ceil(m * k * w_bits / 4.0)
-                          + np.ceil(k * n * x_bits / 4.0))
+    ops.ema_nibbles = int(np.ceil(m * k * plan.w_bits / 4.0)
+                          + np.ceil(k * n * plan.x_bits / 4.0))
+    return ops

@@ -5,7 +5,7 @@ pieces:
 
 * :mod:`repro.obs.trace` — :class:`Span`/:class:`Trace`/:class:`TraceBuffer`,
   the per-request span tree (``queue_wait -> batch_release ->
-  engine_execute -> stage[k]* -> respond``) whose ids ride batcher tickets,
+  engine_execute -> respond``) whose ids ride batcher tickets,
   pool tasks, process-pool envelopes and ShmRing frame headers so one
   request's timeline survives thread *and* process boundaries;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry` with typed

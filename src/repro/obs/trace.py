@@ -9,15 +9,12 @@ intervals on the *driver's* monotonic clock (``time.perf_counter``):
     ├── queue_wait                  <- submit() .. batch fire
     ├── batch_release               <- fire .. engine dispatch
     ├── engine_execute              <- the fused forward
-    │   ├── stage[0]                <- sharded pipelines only
-    │   ├── stage[1]
-    │   └── ...
     └── respond                     <- serialization / socket write
 
-Worker *processes* have their own ``perf_counter`` epoch, so remote stage
-timings never become span endpoints directly: stage spans are opened and
-closed driver-side around the round trip, and worker-measured durations
-ride back as span attributes.  That keeps every span on one clock — the
+Worker *processes* have their own ``perf_counter`` epoch, so remote
+timings never become span endpoints directly: ``engine_execute`` is opened
+and closed driver-side around the round trip, and the worker-measured
+duration rides back as a span attribute.  That keeps every span on one clock — the
 tree validates without cross-process clock translation — and makes the
 tree *shape* identical between the thread and process backends.
 
@@ -81,7 +78,7 @@ class Span:
 
     ``end()`` is idempotent — the first call wins, so error paths can end
     a span defensively without clobbering a measured close.  Attributes
-    stay mutable after the span closes: remote stage spans are annotated
+    stay mutable after the span closes: process-backed spans are annotated
     with worker-side durations only after the round trip returns.
     """
 
@@ -155,7 +152,7 @@ class Trace:
     """A request's span tree: one root plus registered descendants.
 
     Span registration is append-only under a lock (spans arrive from the
-    batcher thread, pool workers and the pipeline executor concurrently);
+    batcher thread and pool workers concurrently);
     reads take a snapshot.  The root span is created with the trace and
     carries the deployment name.
     """

@@ -23,8 +23,7 @@ The online half of Panacea's offline/online split, grown to process scale:
   share one physical copy of the plan arrays through the page cache),
   activations framed through :class:`ShmRing` segments instead of
   pickles, crashes failing only the in-flight batch
-  (:class:`WorkerCrashError`) before a respawn.  Sharded deployments run
-  process-per-stage over depth-slotted stage-edge rings.  Pools expose
+  (:class:`WorkerCrashError`) before a respawn.  Pools expose
   the :class:`ExecutorBackend` protocol; capability refusals raise
   :class:`BackendCapabilityError`;
 * :mod:`repro.serve.cache` — :class:`ResultCache`, the content-addressed
@@ -62,8 +61,7 @@ from .cache import PrefixKVCache, ResultCache, request_key
 from .metrics import LatencyStats, ServerMetrics
 from .pool import (BackendCapabilityError, ExecutorBackend,
                    PoolShutdownError, WorkerPool, WorkerStats)
-from .procpool import (DEFAULT_STAGE_RING_BYTES, ProcessSessionProxy,
-                       ProcessWorkerPool, WorkerCrashError)
+from .procpool import ProcessSessionProxy, ProcessWorkerPool, WorkerCrashError
 from .server import ModelEntry, ModelServer
 from .shm import ShmRing
 from .store import PlanStore, PlanStoreError, STORE_FORMAT, STORE_VERSION
@@ -103,7 +101,6 @@ __all__ = [
     "PoolShutdownError",
     "WorkerPool",
     "WorkerStats",
-    "DEFAULT_STAGE_RING_BYTES",
     "ProcessWorkerPool",
     "ProcessSessionProxy",
     "WorkerCrashError",

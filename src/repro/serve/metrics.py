@@ -124,15 +124,9 @@ class ServerMetrics:
     the :class:`~repro.serve.procpool.ProcessWorkerPool` summary on
     ``backend='process'`` servers (``None`` otherwise) — its
     ``n_crashes``/``n_pipe_fallback`` counters are the crash-recovery and
-    shared-memory-transport health view, and its ``stage_edges`` map holds
-    the per-stage-edge ring counters (frames, slot wraps, pipe fallbacks)
-    of process-per-stage sharded deployments; ``cache`` sums every
+    shared-memory-transport health view; ``cache`` sums every
     deployment's cache counters into one server-wide hit-rate;
-    ``pipelines`` maps each *sharded* deployment to its per-stage
-    execution/stall latency view (``None`` when nothing is sharded) — the
-    dashboard that answers "which stage is the pipeline's bottleneck?";
-    a process-per-stage pipeline's view also carries its ``stage_edges``
-    transport counters; ``decode`` sums every deployment's
+    ``decode`` sums every deployment's
     continuous-batching decoder counters (completed decodes, engine steps,
     generated tokens, failures — ``None`` when nothing decoded) and
     ``prefix_cache`` the decoders' longest-prefix KV caches, whose
@@ -151,7 +145,6 @@ class ServerMetrics:
     workers: dict | None = None
     process_workers: dict | None = None
     cache: dict | None = None
-    pipelines: dict | None = None
     decode: dict | None = None
     prefix_cache: dict | None = None
 
@@ -177,7 +170,6 @@ class ServerMetrics:
             "workers": self.workers,
             "process_workers": self.process_workers,
             "cache": self.cache,
-            "pipelines": self.pipelines,
             "decode": self.decode,
             "prefix_cache": self.prefix_cache,
             "deployments": self.deployments,

@@ -20,9 +20,8 @@ overlap.  For engine-level overlap, compare the sum of per-deployment
 ``session.stats()['exec_s']`` against wall time.
 
 **Nested submission.**  A task may itself submit downstream work to the
-same pool and wait on it — the sharded pipeline does exactly this: a stage
-running on a worker submits the next stage and the drain that launched the
-batches blocks on their completion.  A naive fixed pool deadlocks here
+same pool and wait on it (a ``run_all`` inside a ``run_all``).  A naive
+fixed pool deadlocks here
 (every worker blocked waiting on queued tasks no worker is free to run), so
 :meth:`wait` and :meth:`run_all` detect that they are on a pool worker and
 *help*: they drain queued tasks inline while waiting.
@@ -30,13 +29,13 @@ batches blocks on their completion.  A naive fixed pool deadlocks here
 Helping is **group-scoped**: the waiter only executes tasks submitted under
 its own group tag (:meth:`submit_grouped`) and re-queues anything else.
 Unscoped helping is a deadlock of its own — a serving worker waiting on
-pipeline stages must not be handed another serve task that blocks on the
+its nested tasks must not be handed another serve task that blocks on the
 very service lock the waiter holds.  Its *own* nested tasks are safe by
 construction: the waiter submitted them, so they cannot need a lock it
 already took.  Helped tasks run inside the waiting task's already-ticking
 busy window, so they count toward ``n_tasks`` (and the pool-level
-``n_helped``) but add **no** ``busy_s`` — a nested pipeline must not
-report more busy seconds than wall time exists.
+``n_helped``) but add **no** ``busy_s`` — nested work must not report
+more busy seconds than wall time exists.
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ class PoolShutdownError(RuntimeError):
 class BackendCapabilityError(TypeError, ValueError):
     """A deployment asked an execution backend for something it cannot do.
 
-    The one typed refusal for backend/capability mismatches — a sharded
-    session without the store reference its cross-process stages need, a
-    server register that a backend cannot host.  Inherits both
-    ``TypeError`` (the historical type of ShardedSession's pool rejection)
-    and ``ValueError`` (the historical type of ModelServer's register
-    refusals), so pre-existing handlers of either keep working.
+    The one typed refusal for backend/capability mismatches — a server
+    register that a backend cannot host, or a decode request on a
+    deployment executing in worker processes.  Inherits both
+    ``TypeError`` and ``ValueError`` (the historical type of
+    ModelServer's register refusals), so pre-existing handlers of either
+    keep working.
     """
 
 
@@ -89,10 +88,8 @@ class ExecutorBackend(Protocol):
     ``crosses_process=False`` means tasks share the caller's address space
     — closures and live objects are fine, and nested submission is safe
     through group-scoped helping.  ``crosses_process=True`` means payloads
-    cross a process boundary: tasks must be picklable, model state travels
-    by plan store, and sharded pipelines run their stages through the
-    pool's stage transport (``load_stages``/``run_stage``) instead of
-    closures.
+    cross a process boundary: tasks must be picklable and model state
+    travels by plan store.
     """
 
     #: Capability flag: do this backend's tasks execute in another process?

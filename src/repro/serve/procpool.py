@@ -52,13 +52,7 @@ from .pool import PoolShutdownError, WorkerStats
 from .procworker import BLAS_ENV_VARS, worker_main
 from .shm import DEFAULT_RING_BYTES, ShmRing
 
-__all__ = ["DEFAULT_STAGE_RING_BYTES", "ProcessWorkerPool",
-           "ProcessSessionProxy", "WorkerCrashError"]
-
-#: Per-direction capacity of one stage edge's ring.  Smaller than the
-#: serve rings: an edge carries one stage's activation per frame (not a
-#: whole coalesced group), and a pipeline allocates two rings per stage.
-DEFAULT_STAGE_RING_BYTES = 8 << 20
+__all__ = ["ProcessWorkerPool", "ProcessSessionProxy", "WorkerCrashError"]
 
 
 class WorkerCrashError(RuntimeError):
@@ -117,44 +111,6 @@ class _Slot:
         self.n_pipe_fallback = 0
 
 
-class _StageEdge:
-    """One pipeline stage's transport: a dedicated ring pair to its slot.
-
-    The edge's rings are depth-slotted (see :class:`~repro.serve.shm
-    .ShmRing` ``slots``), so up to ``depth`` activations can be outstanding
-    on this edge — the generalization of the serve path's one-in-flight
-    protocol that pipelining needs.  Edges survive a worker respawn: the
-    replacement child re-attaches the same segments by name.
-    """
-
-    __slots__ = ("name", "stage", "slot_id", "req_ring", "resp_ring",
-                 "n_pipe_fallback")
-
-    def __init__(self, name: str, stage: int, slot_id: int,
-                 req_ring: ShmRing, resp_ring: ShmRing) -> None:
-        self.name = name
-        self.stage = stage
-        self.slot_id = slot_id
-        self.req_ring = req_ring
-        self.resp_ring = resp_ring
-        self.n_pipe_fallback = 0
-
-    def close(self) -> None:
-        self.req_ring.close()
-        self.resp_ring.close()
-
-    def stats(self) -> dict:
-        return {
-            "stage": self.stage,
-            "worker": self.slot_id,
-            "n_frames": self.req_ring.n_frames,
-            "n_wraps": self.req_ring.n_wraps,
-            "n_pipe_fallback": self.n_pipe_fallback,
-            "capacity": self.req_ring.capacity,
-            "slots": self.req_ring.slots,
-        }
-
-
 class ProcessWorkerPool:
     """Fixed pool of spawned worker processes behind the WorkerPool API.
 
@@ -162,16 +118,12 @@ class ProcessWorkerPool:
     their picklable arguments) — the cross-process analogue of the thread
     pool's task path; serving traffic uses :meth:`load_deployment` /
     :meth:`serve`, which move model state by plan store and activations by
-    shared memory; sharded pipelines use :meth:`load_stages` /
-    :meth:`run_stage`, which resolve serializable stage specs against each
-    worker's rehydration cache and hand activations over per-stage-edge
-    rings.  ``blas_threads`` defaults to an even split of the machine's
+    shared memory.  ``blas_threads`` defaults to an even split of the machine's
     cores across the workers, the no-oversubscription point.
     """
 
     #: ExecutorBackend capability: tasks execute in spawned processes —
-    #: payloads must pickle, model state travels by plan store, and
-    #: sharded stages use the stage transport instead of closures.
+    #: payloads must pickle and model state travels by plan store.
     crosses_process = True
 
     def __init__(self, workers: int, *, blas_threads: int | None = None,
@@ -196,10 +148,6 @@ class ProcessWorkerPool:
         self._n_crashes = 0
         self._n_retried = 0
         self._deployments: dict[str, tuple] = {}
-        # Sharded-pipeline state: per-deployment stage specs (for respawn
-        # replay) and per-stage transport edges.
-        self._stage_specs: dict[str, tuple] = {}
-        self._stage_edges: dict[str, dict[int, _StageEdge]] = {}
         now = time.perf_counter()
         self._slots = [_Slot(i, now) for i in range(workers)]
         for slot in self._slots:
@@ -248,11 +196,10 @@ class ProcessWorkerPool:
         slot.conn = slot.req_ring = slot.resp_ring = None
 
     def _respawn(self, slot: _Slot) -> None:
-        """Replace a dead worker and replay its deployment/stage loads."""
+        """Replace a dead worker and replay its deployment loads."""
         with self._lock:
             self._n_crashes += 1
             specs = list(self._deployments.items())
-            stage_specs = list(self._stage_specs.items())
         self._teardown(slot, timeout=1.0)
         self._spawn(slot)
         for deployment_name, (store_path, model_factory,
@@ -264,22 +211,6 @@ class ProcessWorkerPool:
                 # The replacement worker serves what it could reload; a
                 # deployment whose store went bad fails per-request with
                 # the child's error instead of wedging the whole slot.
-                continue
-        for name, (store_path, model_factory, load_kwargs, plan_state,
-                   depth) in stage_specs:
-            # Stage edges survive the respawn — the replacement child
-            # re-attaches the same segments by name — so only the stages
-            # this slot hosts are replayed.
-            rings = [(edge.stage, edge.req_ring.name, edge.resp_ring.name)
-                     for edge in self._stage_edges.get(name, {}).values()
-                     if edge.slot_id == slot.worker_id]
-            if not rings:
-                continue
-            try:
-                self._round_trip(slot, ("load_stages", name, store_path,
-                                        model_factory, load_kwargs,
-                                        plan_state, rings, depth))
-            except Exception:  # noqa: BLE001 — a run_stage resurfaces it
                 continue
 
     # -- protocol -------------------------------------------------------------
@@ -325,26 +256,6 @@ class ProcessWorkerPool:
                 slot.n_pipe_fallback += 1
                 outputs = fb_outputs
             return outputs, metas
-        if kind == "stage":
-            name, stage, x, trace_id = payload
-            edge = self._stage_edges[name][stage]
-            arr = np.ascontiguousarray(np.asarray(x))
-            offset = edge.req_ring.write(edge.req_ring.n_frames, [arr],
-                                         trace_id=trace_id)
-            fallback = None
-            if offset is None:
-                edge.n_pipe_fallback += 1
-                fallback = arr
-            reply = self._round_trip(
-                slot, ("stage", name, stage, offset, fallback, trace_id))
-            _, out_offset, fb_output, layer_states, exec_s = reply
-            if out_offset is not None:
-                _, _, outputs = edge.resp_ring.read(out_offset, copy=True)
-                y = outputs[0]
-            else:
-                edge.n_pipe_fallback += 1
-                y = fb_output
-            return y, layer_states, exec_s
         return self._round_trip(slot, (kind, *payload))[1]
 
     def _execute(self, slot: _Slot, kind: str, payload):
@@ -374,9 +285,9 @@ class ProcessWorkerPool:
                 task = slot.direct.popleft()
             else:
                 try:
-                    # Short poll: direct work (pipeline stage hops land in
-                    # the slot's deque) must not wait out a long shared-
-                    # queue timeout — per-hop latency is pipeline latency.
+                    # Short poll: direct work (deployment loads and stats
+                    # queries land in the slot's deque) must not wait out
+                    # a long shared-queue timeout.
                     task = self._tasks.get(timeout=0.002)
                 except queue.Empty:
                     # Idle liveness: a worker killed *between* tasks would
@@ -398,14 +309,6 @@ class ProcessWorkerPool:
         except (_SendCrash, WorkerCrashError, Exception):  # noqa: BLE001
             pass
         self._teardown(slot)
-        # Final shutdown (never a respawn): this slot's stage edges are
-        # dead with it — destroy their segments.
-        with self._lock:
-            for edges in self._stage_edges.values():
-                for edge in list(edges.values()):
-                    if edge.slot_id == slot.worker_id:
-                        edge.close()
-                        edges.pop(edge.stage, None)
 
     def _run_task(self, slot: _Slot, task) -> None:
         future, kind, payload = task
@@ -563,124 +466,6 @@ class ProcessWorkerPool:
                                 pad_value=pad_value,
                                 trace_id=trace_id).result()
 
-    # -- stage transport (process-per-stage sharded pipelines) ---------------
-    def load_stages(self, name: str, store_path, plan_state: dict, *,
-                    model_factory=None, load_kwargs: dict | None = None,
-                    depth: int = 2,
-                    stage_ring_bytes: int = DEFAULT_STAGE_RING_BYTES) -> dict:
-        """Host a sharded deployment's stages across the workers.
-
-        The stage spec is fully serializable — a plan-store path, the
-        :class:`~repro.shard.plan.ShardPlan` state and the load config —
-        so nothing closure-shaped crosses the boundary; each owning worker
-        rehydrates the session from its per-process cache (one session per
-        store, however many stages it hosts) and attaches the stage's
-        dedicated ring pair.  Stage *k* lands on worker ``k % workers``,
-        so distinct stages execute on distinct processes whenever the pool
-        is at least as wide as the pipeline.  Returns the stage->worker
-        assignment.  Registered for crash-respawn replay.
-        """
-        n_stages = len(plan_state.get("stages", ()))
-        if n_stages < 1:
-            raise ValueError(f"stage plan for {name!r} names no stages")
-        kwargs = dict(load_kwargs or {})
-        self._prepare_store(store_path, kwargs)
-        with self._lock:
-            if self._shutdown:
-                raise PoolShutdownError(
-                    "cannot submit to a shut-down ProcessWorkerPool")
-            old_edges = self._stage_edges.pop(name, None)
-            edges: dict[int, _StageEdge] = {}
-            for k in range(n_stages):
-                slot_id = k % len(self._slots)
-                edges[k] = _StageEdge(
-                    name, k, slot_id,
-                    ShmRing(stage_ring_bytes, slots=depth),
-                    ShmRing(stage_ring_bytes, slots=depth))
-            self._stage_edges[name] = edges
-            self._stage_specs[name] = (os.fspath(store_path), model_factory,
-                                       kwargs, plan_state, depth)
-            by_slot: dict[int, list] = {}
-            for edge in edges.values():
-                by_slot.setdefault(edge.slot_id, []).append(
-                    (edge.stage, edge.req_ring.name, edge.resp_ring.name))
-            futures = []
-            for slot_id, rings in by_slot.items():
-                future: Future = Future()
-                self._slots[slot_id].direct.append(
-                    (future, "load_stages",
-                     (name, os.fspath(store_path), model_factory, kwargs,
-                      plan_state, rings, depth)))
-                futures.append(future)
-        if old_edges is not None:
-            for edge in old_edges.values():
-                edge.close()
-        self.wait(futures)
-        for future in futures:
-            future.result()
-        return {k: edge.slot_id for k, edge in edges.items()}
-
-    def unload_stages(self, name: str) -> None:
-        """Drop a sharded deployment's stages and destroy their edges."""
-        with self._lock:
-            self._stage_specs.pop(name, None)
-            edges = self._stage_edges.pop(name, None)
-            futures = []
-            if not self._shutdown and edges:
-                for slot_id in {e.slot_id for e in edges.values()}:
-                    future: Future = Future()
-                    self._slots[slot_id].direct.append(
-                        (future, "unload_stages", (name,)))
-                    futures.append(future)
-        if futures:
-            self.wait(futures)
-        # The workers detached their side above (or are shutting down);
-        # now the parent-owned segments can unlink.
-        if edges:
-            for edge in edges.values():
-                edge.close()
-
-    def run_stage_async(self, name: str, stage: int, x, *,
-                        trace_id: int = 0) -> Future:
-        """One stage hop, targeted at the owning worker; future of
-        ``(output, layer_states, worker_exec_s)``.
-
-        ``layer_states`` are the stage's captured trace records as
-        :meth:`~repro.core.pipeline.LayerExecution.to_state` dicts — the
-        caller folds them back through
-        :meth:`~repro.engine.session.PanaceaSession.record_external` —
-        and ``worker_exec_s`` is the stage's compute time on the worker's
-        own clock (a span attribute, never a span endpoint: worker clocks
-        have their own epoch).  ``trace_id`` rides the stage-edge frame
-        header and the control envelope.
-        """
-        with self._lock:
-            if self._shutdown:
-                raise PoolShutdownError(
-                    "cannot submit to a shut-down ProcessWorkerPool")
-            edges = self._stage_edges.get(name)
-            if edges is None or stage not in edges:
-                raise KeyError(
-                    f"no stage {stage} of {name!r} loaded "
-                    f"(loaded: {sorted(self._stage_edges)})")
-            future: Future = Future()
-            self._slots[edges[stage].slot_id].direct.append(
-                (future, "stage", (name, stage, x, trace_id)))
-        return future
-
-    def run_stage(self, name: str, stage: int, x, *, trace_id: int = 0):
-        """Blocking :meth:`run_stage_async`."""
-        return self.run_stage_async(name, stage, x,
-                                    trace_id=trace_id).result()
-
-    def stage_edge_stats(self, name: str | None = None) -> dict:
-        """Per-edge transport counters (frames, wraps, pipe fallbacks)."""
-        with self._lock:
-            items = (self._stage_edges.items() if name is None
-                     else [(name, self._stage_edges.get(name, {}))])
-            return {n: [edge.stats() for _, edge in sorted(edges.items())]
-                    for n, edges in items}
-
     def deployment_stats(self, name: str) -> dict:
         """The deployment's session stats merged across all workers.
 
@@ -771,11 +556,6 @@ class ProcessWorkerPool:
             n_crashes = self._n_crashes
             n_retried = self._n_retried
             n_pipe_fallback = sum(s.n_pipe_fallback for s in self._slots)
-            stage_edges = {name: [e.stats() for _, e in sorted(edges.items())]
-                           for name, edges in self._stage_edges.items()}
-            n_pipe_fallback += sum(e["n_pipe_fallback"]
-                                   for edges in stage_edges.values()
-                                   for e in edges)
         return {
             "backend": "process",
             "workers": self.workers,
@@ -792,7 +572,6 @@ class ProcessWorkerPool:
             "n_retried_after_crash": n_retried,
             "n_pipe_fallback": n_pipe_fallback,
             "ring_bytes": self.ring_bytes,
-            "stage_edges": stage_edges,
         }
 
 

@@ -1,14 +1,9 @@
 """Worker-process entry point for :class:`ProcessWorkerPool`.
 
-One worker process hosts rehydrated serving sessions — whole deployments
-*and* individual pipeline stages of sharded deployments — and executes
-whatever the parent dispatches over its control pipe.  Stage specs arrive
-serializable (store path, shard-plan state, load config) and resolve
-against a per-process rehydration cache; stage activations travel over
-dedicated per-stage-edge rings, and captured layer traces return as
-:meth:`~repro.core.pipeline.LayerExecution.to_state` dicts for the
-parent-side fold-back.  The contract mirrors the thread pool's task model
-but crosses a process boundary, so everything is built around two rules:
+One worker process hosts rehydrated serving sessions and executes
+whatever the parent dispatches over its control pipe.  The contract
+mirrors the thread pool's task model but crosses a process boundary, so
+everything is built around two rules:
 
 * **No pickled model state.**  Deployments arrive as a
   :class:`~repro.serve.store.PlanStore` path plus either the stored
@@ -37,7 +32,6 @@ surfaces as a crash, which the pool detects on the broken pipe.
 from __future__ import annotations
 
 import os
-import time
 
 __all__ = ["worker_main", "pin_blas_env", "blas_env", "BLAS_ENV_VARS"]
 
@@ -131,13 +125,6 @@ def _load_session(store_path, model_factory, load_kwargs):
     return PlanStore(store_path).load(model=model, **kwargs)
 
 
-def _session_cache_key(store_path, model_factory, load_kwargs) -> tuple:
-    import json
-
-    return (os.path.realpath(store_path), repr(model_factory),
-            json.dumps(load_kwargs or {}, sort_keys=True, default=str))
-
-
 def worker_main(conn, req_ring_name: str, resp_ring_name: str,
                 worker_id: int, blas_threads: int) -> None:
     """Serve the parent's control pipe until the shutdown sentinel.
@@ -157,13 +144,6 @@ def worker_main(conn, req_ring_name: str, resp_ring_name: str,
     req_ring = ShmRing.attach(req_ring_name)
     resp_ring = ShmRing.attach(resp_ring_name)
     sessions: dict[str, object] = {}
-    # Per-process rehydration cache for pipeline stages: stages are
-    # resolved by (store, factory, load kwargs), so every stage of one
-    # sharded deployment hosted on this worker — and stages of *different*
-    # deployments sharing one store — reuse a single rehydrated session.
-    session_cache: dict[tuple, object] = {}
-    # name -> (session, stage segment slices, {stage: (req, resp) rings})
-    stage_hosts: dict[str, tuple] = {}
     try:
         while True:
             try:
@@ -182,73 +162,6 @@ def worker_main(conn, req_ring_name: str, resp_ring_name: str,
                     _reply(conn, ("ok", sessions[name].stats()["n_plans"]))
                 elif tag == "unload":
                     sessions.pop(payload[0], None)
-                    _reply(conn, ("ok", None))
-                elif tag == "load_stages":
-                    (name, store_path, model_factory, load_kwargs,
-                     plan_state, stage_rings, depth) = payload
-                    from ..shard.graph import model_segments
-                    from ..shard.plan import ShardPlan
-
-                    key = _session_cache_key(store_path, model_factory,
-                                             load_kwargs)
-                    if key not in session_cache:
-                        session_cache[key] = _load_session(
-                            store_path, model_factory, load_kwargs)
-                    session = session_cache[key]
-                    plan = ShardPlan.from_state(plan_state)
-                    slices = plan.stage_slices(model_segments(session.model))
-                    rings = {}
-                    for k, req_name, resp_name in stage_rings:
-                        rings[k] = (ShmRing.attach(req_name),
-                                    ShmRing.attach(resp_name, slots=depth))
-                    old = stage_hosts.pop(name, None)
-                    if old is not None:
-                        for pair in old[2].values():
-                            for ring in pair:
-                                ring.close()
-                    stage_hosts[name] = (session, slices, rings)
-                    _reply(conn, ("ok", sorted(rings)))
-                elif tag == "stage":
-                    name, k, offset, fallback, trace_id = payload
-                    host = stage_hosts.get(name)
-                    if host is None:
-                        raise KeyError(
-                            f"worker {worker_id} hosts no stages of "
-                            f"{name!r} (hosting: {sorted(stage_hosts)})")
-                    session, slices, rings = host
-                    stage_req, stage_resp = rings[k]
-                    if offset is not None:
-                        # Zero-copy is safe: the edge's slotted ring keeps
-                        # up to ``depth`` frames live and the parent never
-                        # reuses this frame's slot before the reply.
-                        _, frame_tid, arrays = stage_req.read(offset)
-                        trace_id = trace_id or frame_tid
-                        x = arrays[0]
-                    else:
-                        x = fallback
-                    t0 = time.perf_counter()
-                    with session.trace.capture() as records:
-                        for segment in slices[k]:
-                            x = segment.fn(x)
-                    exec_s = time.perf_counter() - t0
-                    x = np.ascontiguousarray(x)
-                    states = [rec.to_state() for rec in records]
-                    # Echo the trace id into the response frame: driver-side
-                    # spans stay on the driver's clock, but the id closes
-                    # the propagation loop and worker exec time rides back
-                    # as a span attribute.
-                    out_offset = stage_resp.write(k, [x], trace_id=trace_id)
-                    if out_offset is None:   # bigger than one slot region
-                        _reply(conn, ("staged", None, x, states, exec_s))
-                    else:
-                        _reply(conn,
-                               ("staged", out_offset, None, states, exec_s))
-                elif tag == "unload_stages":
-                    host = stage_hosts.pop(payload[0], None)
-                    if host is not None:
-                        for pair in host[2].values():
-                            for ring in pair:
-                                ring.close()
                     _reply(conn, ("ok", None))
                 elif tag == "serve":
                     (name, pad_axis, pad_value, offset, fallback,
@@ -294,10 +207,6 @@ def worker_main(conn, req_ring_name: str, resp_ring_name: str,
             except BaseException as exc:  # noqa: BLE001 — reply, don't die
                 _reply(conn, ("error", exc))
     finally:
-        for host in stage_hosts.values():
-            for pair in host[2].values():
-                for ring in pair:
-                    ring.close()
         req_ring.close()
         resp_ring.close()
         conn.close()

@@ -55,11 +55,9 @@ __all__ = ["ModelServer", "ModelEntry"]
 class ModelEntry:
     """One hosted deployment: a named session plus its scheduler.
 
-    ``session`` is either a plain :class:`PanaceaSession` or a
-    :class:`~repro.shard.session.ShardedSession` (deployed with
-    ``shards >= 2``) — both expose the serving surface the scheduler
-    consumes; a sharded deployment additionally reports per-stage pipeline
-    metrics.
+    ``session`` is a :class:`PanaceaSession`, or on the process backend a
+    :class:`~repro.serve.procpool.ProcessSessionProxy` exposing the same
+    serving surface the scheduler consumes.
     """
 
     name: str
@@ -67,9 +65,7 @@ class ModelEntry:
     batcher: MicroBatcher
     #: Whole-deployment execution lives in the process pool (the session
     #: is a :class:`~repro.serve.procpool.ProcessSessionProxy`), so
-    #: unregister must unload it from the workers.  Sharded deployments —
-    #: remote or not — stay False: their sessions release their own
-    #: backend resources in ``close()``.
+    #: unregister must unload it from the workers.
     remote: bool = False
     #: The deployment's continuous-batching decoder, created lazily by the
     #: first ``submit_decode`` (None until then, and forever on deployments
@@ -90,11 +86,6 @@ class ModelEntry:
         """The deployment's result cache (None when caching is off)."""
         return self.batcher.cache
 
-    @property
-    def sharded(self) -> bool:
-        """Whether this deployment executes through a stage pipeline."""
-        return hasattr(self.session, "stage_stats")
-
     def stats(self) -> dict:
         """Session lifetime accounting merged with scheduler metrics."""
         stats = {
@@ -102,8 +93,6 @@ class ModelEntry:
             "session": self.session.stats(),
             "scheduler": self.batcher.stats(),
         }
-        if self.sharded:
-            stats["pipeline"] = self.session.stage_stats()
         if self.decoder is not None:
             stats["decode"] = self.decoder.stats()
         return stats
@@ -209,63 +198,8 @@ class ModelServer:
             base = replace(base, cache_bytes=self.cache_bytes)
         return base
 
-    def _shard_session(self, session: PanaceaSession, shards: int,
-                       shard_plan, depth: int, shard_sample, *,
-                       name: str | None = None,
-                       stage_workers: int | None = None,
-                       model_name: str | None = None, model_factory=None,
-                       store_path=None, model_seed: int = 0):
-        """Wrap a session for pipelined execution when ``shards >= 2``.
-
-        The sharded session owns a dedicated stage pool (one
-        :class:`WorkerPool` sized to its stage count unless
-        ``stage_workers`` overrides it), closed at unregister/close time.
-        Stage tasks deliberately do **not** share the server's serve pool:
-        serve tasks block on service locks and rider windows, so a
-        pipeline driver holding a deployment's service lock while its
-        stage tasks queue behind blocked serve tasks is a deadlock —
-        dedicated stage workers can always make progress.  ``shard_plan``
-        pins an explicit (e.g. rehydrated)
-        :class:`~repro.shard.plan.ShardPlan`; otherwise the auto-partitioner
-        balances stages from ``shard_sample`` measurements (modeled MAC
-        costs when no sample is given).
-
-        On the process backend the stages execute **process-per-stage**:
-        the session is snapshotted to a plan store (unless ``store_path``
-        already points at one) and the sharded session registers its
-        stages on the server's :class:`ProcessWorkerPool`, activations
-        crossing between stages over per-edge shared-memory rings.
-        """
-        from ..shard import ShardedSession, auto_partition
-
-        if shard_plan is None:
-            shard_plan = auto_partition(session, shards, sample=shard_sample)
-        elif shards and shards != shard_plan.n_stages:
-            raise ValueError(
-                f"shards={shards} conflicts with the explicit shard plan's "
-                f"{shard_plan.n_stages} stages")
-        if self._proc_pool is None:
-            return ShardedSession(session, shard_plan, depth=depth,
-                                  workers=stage_workers)
-        if model_name is None and model_factory is None \
-                and store_path is None:
-            raise ValueError(
-                f"deployment {name!r} on backend='process' needs "
-                "model_name (a proxy-zoo reference) or model_factory (a "
-                "picklable zero-arg callable) so the workers can rebuild "
-                "the float model")
-        if store_path is None:
-            store_path = self._snapshot_store(name, session, model_name,
-                                              model_seed,
-                                              shard_plan=shard_plan)
-        return ShardedSession(session, shard_plan, pool=self._proc_pool,
-                              depth=depth, workers=stage_workers,
-                              store_path=store_path,
-                              model_factory=model_factory, name=name)
-
     def _snapshot_store(self, name: str, session: PanaceaSession,
-                        model_name: str | None, model_seed: int,
-                        shard_plan=None):
+                        model_name: str | None, model_seed: int):
         """Snapshot a session to a server-owned plan store for the workers."""
         import pathlib
         import tempfile
@@ -277,7 +211,7 @@ class ModelServer:
         store_path = (pathlib.Path(self._proc_store_dir)
                       / f"{name.replace('/', '_')}.plans.npz")
         PlanStore(store_path).save(session, model_name=model_name,
-                                   seed=model_seed, shard_plan=shard_plan)
+                                   seed=model_seed)
         return store_path
 
     def _deploy_process(self, name: str, session: PanaceaSession,
@@ -310,9 +244,7 @@ class ModelServer:
         return ProcessSessionProxy(self._proc_pool, name)
 
     def register(self, name: str, session: PanaceaSession,
-                 policy: BatchPolicy | None = None, *, shards: int = 0,
-                 shard_plan=None, depth: int = 2, shard_sample=None,
-                 stage_workers: int | None = None,
+                 policy: BatchPolicy | None = None, *,
                  model_name: str | None = None, model_factory=None,
                  store_path=None, model_seed: int = 0,
                  decode_policy: DecodePolicy | None = None,
@@ -321,17 +253,11 @@ class ModelServer:
 
         The session must already be calibrated (or explicitly built with
         ``auto_calibrate=True``): a server must never silently calibrate on
-        live traffic.  ``shards >= 2`` (or an explicit ``shard_plan``)
-        deploys the session as a stage pipeline: request groups stream
-        through the stages with in-flight depth ``depth`` instead of fusing
-        into one engine batch — bit-exact either way.  ``stage_workers``
-        overrides the sharded deployment's owned stage-pool sizing
-        (default: one worker per stage, capped at the core count).
+        live traffic.
 
         On ``backend='process'`` the session is snapshotted and executed
-        in the worker processes — whole deployments via
-        :meth:`_deploy_process`, sharded deployments process-per-stage via
-        :meth:`_shard_session`; ``model_name``/``model_factory`` tell the
+        in the worker processes (:meth:`_deploy_process`);
+        ``model_name``/``model_factory`` tell the
         workers how to rebuild the float model and are ignored by the
         thread backend.  Capability refusals raise
         :class:`~repro.serve.pool.BackendCapabilityError`.
@@ -340,11 +266,6 @@ class ModelServer:
             raise ValueError(
                 f"session for {name!r} is not calibrated; calibrate it (or "
                 "opt in with auto_calibrate=True) before registering")
-        if not isinstance(shards, int) or isinstance(shards, bool) \
-                or shards < 0:
-            raise ValueError(
-                f"shards must be an int >= 0, got {shards!r} "
-                "(only load() accepts the string 'stored')")
         if trace_sample is not None and not 0.0 <= trace_sample <= 1.0:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {trace_sample}")
@@ -357,21 +278,10 @@ class ModelServer:
                     "workers (plan stores snapshot calibrated plans only)")
             if name in self._entries:
                 raise ValueError(f"model {name!r} is already registered")
-            if shards >= 2 or shard_plan is not None:
-                session = self._shard_session(
-                    session, shards, shard_plan, depth, shard_sample,
-                    name=name, stage_workers=stage_workers,
-                    model_name=model_name, model_factory=model_factory,
-                    store_path=store_path, model_seed=model_seed)
-            else:
-                session = self._deploy_process(name, session, model_name,
-                                               model_factory, store_path,
-                                               model_seed)
-                remote = True
-        elif shards >= 2 or shard_plan is not None:
-            session = self._shard_session(session, shards, shard_plan,
-                                          depth, shard_sample,
-                                          stage_workers=stage_workers)
+            session = self._deploy_process(name, session, model_name,
+                                           model_factory, store_path,
+                                           model_seed)
+            remote = True
         kwargs = {} if self._clock is None else {"clock": self._clock}
         entry = ModelEntry(
             name=name, session=session,
@@ -390,9 +300,7 @@ class ModelServer:
                      scheme: str = "aqs", exec_path: str = "fast",
                      seed: int = 0, n_calibration: int = 2,
                      calibration_batch: int = 2,
-                     policy: BatchPolicy | None = None, shards: int = 0,
-                     depth: int = 2,
-                     stage_workers: int | None = None,
+                     policy: BatchPolicy | None = None,
                      decode_policy: DecodePolicy | None = None) -> ModelEntry:
         """Build, calibrate and host one proxy-zoo model variant.
 
@@ -400,8 +308,6 @@ class ModelServer:
         proxy, calibrates on synthetic batches matching its input modality,
         and registers the prepared session.  ``policy`` defaults to the
         server default with the proxy's natural ``pad_axis`` applied.
-        ``shards >= 2`` deploys pipelined: the auto-partitioner balances the
-        stages on a measured profile of one synthetic batch.
         ``decode_policy`` configures the deployment's continuous-batching
         decoder (LM proxies only; created lazily on first decode submit).
         """
@@ -417,12 +323,8 @@ class ModelServer:
         session = PanaceaSession(model, config)
         session.calibrate(proxy_batches(model_name, calibration_batch,
                                         n_calibration, seed=seed + 1))
-        sample = (proxy_batches(model_name, calibration_batch, 1,
-                                seed=seed + 2)[0] if shards >= 2 else None)
         return self.register(name, session,
                              self._policy_for_proxy(policy, model_name),
-                             shards=shards, depth=depth, shard_sample=sample,
-                             stage_workers=stage_workers,
                              model_name=model_name, model_seed=seed,
                              decode_policy=decode_policy)
 
@@ -443,15 +345,11 @@ class ModelServer:
         return base
 
     def load(self, name: str, path, *, model=None, model_factory=None,
-             policy: BatchPolicy | None = None, shards: int | str = 0,
-             depth: int = 2, stage_workers: int | None = None) -> ModelEntry:
+             policy: BatchPolicy | None = None) -> ModelEntry:
         """Host a deployment rehydrated from a plan store (zero re-prepare).
 
         When the store references a proxy-zoo model, its natural
         ``pad_axis`` is applied exactly as :meth:`deploy_proxy` would.
-        ``shards="stored"`` deploys with the shard plan persisted in the
-        store (raising if there is none); ``shards=N >= 2`` re-partitions
-        with modeled costs instead.
 
         On ``backend='process'`` the workers rehydrate straight from
         ``path`` (no re-snapshot); a store saved without a proxy-zoo
@@ -460,46 +358,25 @@ class ModelServer:
         """
         from .store import PlanStore
 
-        if isinstance(shards, str) and shards != "stored":
-            raise ValueError(
-                f"shards must be an int or 'stored', got {shards!r}")
         store = PlanStore(path)
         if model is None and model_factory is not None:
             model = model_factory()
         session = store.load(model=model)
         model_name = store.describe().get("model_name")
-        shard_plan = None
-        if shards == "stored":
-            shard_plan = store.load_shard_plan()
-            if shard_plan is None:
-                raise ValueError(
-                    f"{path} holds no shard plan; save one with "
-                    "PlanStore.save(..., shard_plan=...) or pass shards=N "
-                    "to re-partition")
-            shards = 0
         return self.register(name, session,
                              self._policy_for_proxy(policy, model_name),
-                             shards=shards, shard_plan=shard_plan,
-                             depth=depth, stage_workers=stage_workers,
                              model_name=model_name,
                              model_factory=model_factory, store_path=path)
 
     def unregister(self, name: str) -> None:
-        """Drop a deployment after draining its queue.
-
-        A sharded deployment's dedicated stage pool is shut down with it.
-        """
+        """Drop a deployment after draining its queue."""
         entry = self._get(name)
         entry.batcher.flush()
         if entry.decoder is not None:
             entry.decoder.drain()
         with self._entries_lock:
             self._entries.pop(name, None)
-        if entry.sharded:
-            # Sharded sessions — thread or process-per-stage — release
-            # their own backend resources (owned pools, stage edges).
-            entry.session.close()
-        elif entry.remote:
+        if entry.remote:
             self._proc_pool.unload_deployment(name)
 
     def _snapshot(self) -> list[ModelEntry]:
@@ -527,9 +404,6 @@ class ModelServer:
                     if first_error is None:
                         first_error = exc
         finally:
-            for entry in entries:
-                if entry.sharded:
-                    entry.session.close()
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
             if self._proc_pool is not None:
@@ -673,10 +547,9 @@ class ModelServer:
         """The deployment's decoder, created on first use.
 
         Decode runs the model's incremental ``forward_step`` against live
-        KV state in the scheduler's process, so it is a thread-backend,
-        unsharded capability: process-backed deployments execute in worker
-        processes that only expose one-shot forwards, and sharded sessions
-        split the layer chain across stages — both refuse with
+        KV state in the scheduler's process, so it is a thread-backend
+        capability: process-backed deployments execute in worker processes
+        that only expose one-shot forwards and refuse with
         :class:`BackendCapabilityError` rather than silently recomputing
         the prefix every step.
         """
@@ -687,10 +560,6 @@ class ModelServer:
                     f"deployment {name!r} executes on backend='process'; "
                     "incremental decode needs in-process KV state — deploy "
                     "on the thread backend to decode")
-            if entry.sharded:
-                raise BackendCapabilityError(
-                    f"deployment {name!r} is sharded; incremental decode "
-                    "needs the whole layer chain in one session")
             kwargs = {} if self._clock is None else {"clock": self._clock}
             entry.decoder = DecodeBatcher(entry.session, entry.decode_policy,
                                           **kwargs)
@@ -815,8 +684,6 @@ class ModelServer:
         """
         deployments = self.stats()
         schedulers = [d["scheduler"] for d in deployments.values()]
-        pipelines = {name: d["pipeline"] for name, d in deployments.items()
-                     if "pipeline" in d}
         caches = [s["cache"] for s in schedulers if "cache" in s]
         cache_totals = None
         if caches:
@@ -861,7 +728,6 @@ class ModelServer:
             process_workers=(self._proc_pool.stats()
                              if self._proc_pool is not None else None),
             cache=cache_totals,
-            pipelines=pipelines or None,
             decode=decode_totals,
             prefix_cache=prefix_totals,
         )
@@ -910,32 +776,6 @@ class ModelServer:
                         for e in self._snapshot() if e.decoder is not None]
             return collect
 
-        def per_stage(view_key):
-            def collect():
-                out = []
-                for e in self._snapshot():
-                    if not e.sharded:
-                        continue
-                    executor = getattr(e.session, "executor", None)
-                    if executor is None:
-                        continue
-                    for row in executor.stage_latency_view():
-                        out.append(({"deployment": e.name,
-                                     "stage": str(row["stage"])},
-                                    row[view_key]))
-                return out
-            return collect
-
-        def stage_edges(key):
-            def collect():
-                if self._proc_pool is None:
-                    return []
-                edges = self._proc_pool.stats()["stage_edges"]
-                return [({"deployment": name, "stage": str(e["stage"])},
-                         e[key])
-                        for name, rows in edges.items() for e in rows]
-            return collect
-
         def pool_stat(key):
             def collect():
                 if self._pool is None:
@@ -982,12 +822,6 @@ class ModelServer:
         reg.histogram("repro_batcher_batch_exec_seconds",
                       "Engine execution time per fired batch.",
                       per_entry(lambda e: e.batcher.batch_exec_view()))
-        reg.histogram("repro_stage_exec_seconds",
-                      "Stage execution time per pipeline micro-batch.",
-                      per_stage("exec"))
-        reg.histogram("repro_stage_stall_seconds",
-                      "Wait for a busy pipeline stage per micro-batch.",
-                      per_stage("stall"))
         reg.counter("repro_cache_hits_total", "Result-cache hits.",
                     per_cache("hits"))
         reg.counter("repro_cache_misses_total", "Result-cache misses.",
@@ -1036,14 +870,6 @@ class ModelServer:
         reg.counter("repro_process_pool_pipe_fallback_total",
                     "Transfers that fell back from shared memory to pipes.",
                     proc_stat("n_pipe_fallback"))
-        reg.counter("repro_stage_edge_frames_total",
-                    "Activation frames carried per stage edge ring.",
-                    stage_edges("n_frames"))
-        reg.counter("repro_stage_edge_wraps_total",
-                    "Stage edge ring slot wraps.", stage_edges("n_wraps"))
-        reg.counter("repro_stage_edge_pipe_fallback_total",
-                    "Stage edge transfers that fell back to pipes.",
-                    stage_edges("n_pipe_fallback"))
         reg.gauge("repro_server_trace_buffer_size",
                   "Traces resident in the bounded buffer.",
                   lambda: self.traces.stats()["size"])

@@ -23,15 +23,6 @@ by construction; :meth:`write` returns ``None`` and the pool falls back to
 pickled transport over the pipe (counted, so the benchmark can report how
 often the fast path was missed).
 
-``slots=k`` generalizes the protocol from one-in-flight to
-*depth-bounded*: the segment is partitioned into ``k`` equal regions and
-successive frames rotate through them, so up to ``k`` frames are
-outstanding before a slot is reused.  This is the per-stage-edge transport
-of the process-sharded pipeline — a pipeline of depth ``d`` may have ``d``
-activations in flight on one edge, and slot rotation guarantees none is
-overwritten while a reader still holds it.  A frame bigger than one region
-returns ``None`` (same pipe fallback contract).
-
 Lifetime: the parent creates both directions' segments and is the only
 side that ever unlinks them; workers attach by name.  On Python < 3.13
 attaching registers the segment with the *child's* resource tracker too
@@ -81,37 +72,25 @@ class ShmRing:
     """
 
     def __init__(self, capacity: int = DEFAULT_RING_BYTES, *,
-                 name: str | None = None, slots: int | None = None) -> None:
-        if slots is not None and slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
+                 name: str | None = None) -> None:
         if name is None:
             if capacity < _ALIGN:
                 raise ValueError(
                     f"ring capacity must be >= {_ALIGN} bytes, "
                     f"got {capacity}")
-            if slots is not None and capacity // slots < _ALIGN:
-                raise ValueError(
-                    f"ring capacity {capacity} cannot hold {slots} slots of "
-                    f">= {_ALIGN} bytes each")
             self._shm = shared_memory.SharedMemory(create=True,
                                                    size=capacity)
             self._owner = True
         else:
             self._shm = shared_memory.SharedMemory(name=name)
             self._owner = False
-        self.slots = slots
-        self._seq = 0
         self._head = 0
         self.n_frames = 0
         self.n_wraps = 0
 
     @classmethod
-    def attach(cls, name: str, *, slots: int | None = None) -> "ShmRing":
+    def attach(cls, name: str) -> "ShmRing":
         """Map an existing segment (worker side); never unlinks it.
-
-        ``slots`` must match the creator's value when the attaching side
-        will *write* (the stage-response direction) — slot geometry is a
-        writer-side discipline, not stored in the segment.
 
         Attaching registers the segment with the resource tracker again
         (CPython issue 82300), which would normally risk a foreign-process
@@ -121,7 +100,7 @@ class ShmRing:
         registration (and make the final unlink double-unregister), so the
         attach side deliberately leaves the tracker alone.
         """
-        return cls(name=name, slots=slots)
+        return cls(name=name)
 
     @property
     def name(self) -> str:
@@ -148,9 +127,8 @@ class ShmRing:
               trace_id: int = 0) -> int | None:
         """Frame ``arrays`` into the ring; returns the frame offset.
 
-        ``None`` means the frame exceeds the whole segment (one slot
-        region, in slotted mode) — the caller must transport the arrays
-        another way.  Object dtypes are refused: they have no flat byte
+        ``None`` means the frame exceeds the whole segment — the caller
+        must transport the arrays another way.  Object dtypes are refused: they have no flat byte
         representation (and pickling them is exactly what this ring exists
         to avoid).  ``trace_id`` stamps the frame header for request
         tracing across the process boundary; 0 means untraced.
@@ -161,21 +139,6 @@ class ShmRing:
                 raise TypeError(
                     "ShmRing cannot frame object-dtype arrays")
         size = self.frame_size(arrays)
-        if self.slots is not None:
-            # Depth-bounded mode: rotate through fixed equal regions so up
-            # to ``slots`` frames stay live at once (one per in-flight
-            # pipeline activation on this edge).
-            region = self.capacity // self.slots
-            if size > region:
-                return None
-            slot = self._seq % self.slots
-            self._seq += 1
-            if slot == 0 and self._seq > 1:
-                self.n_wraps += 1
-            offset = slot * region
-            self._write_frame(offset, req_id, trace_id, arrays)
-            self.n_frames += 1
-            return offset
         if size > self.capacity:
             return None
         if self._head + size > self.capacity:
@@ -246,7 +209,6 @@ class ShmRing:
     def stats(self) -> dict:
         return {
             "capacity": self.capacity,
-            "slots": self.slots,
             "n_frames": self.n_frames,
             "n_wraps": self.n_wraps,
         }

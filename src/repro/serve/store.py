@@ -163,19 +163,8 @@ class PlanStore:
 
     # -- write ---------------------------------------------------------------
     def save(self, session: PanaceaSession, *, model_name: str | None = None,
-             seed: int = 0, shard_plan=None) -> pathlib.Path:
-        """Serialize a prepared session's config, records and plans.
-
-        ``shard_plan`` persists a :class:`~repro.shard.plan.ShardPlan`
-        alongside the layer plans, so a rehydrated deployment can resume
-        pipelined serving with the exact stage split that was balanced for
-        it (``load_shard_plan`` / ``ModelServer.load(shards="stored")``).
-        A :class:`~repro.shard.session.ShardedSession` may be passed
-        directly: its wrapped session and plan are unbundled here.
-        """
-        if shard_plan is None and hasattr(session, "plan") \
-                and hasattr(session, "session"):
-            session, shard_plan = session.session, session.plan
+             seed: int = 0) -> pathlib.Path:
+        """Serialize a prepared session's config, records and plans."""
         if not session.prepared:
             raise RuntimeError(
                 "PlanStore.save needs a prepared session: calibrate first so "
@@ -189,8 +178,6 @@ class PlanStore:
             "plans": {name: plan.state_dict()
                       for name, plan in plans.items()},
             "model": {"name": model_name, "seed": seed},
-            "shard": (None if shard_plan is None
-                      else shard_plan.state_dict()),
         }
         arrays: list = []
         tree = _encode(payload, arrays)
@@ -201,8 +188,6 @@ class PlanStore:
                 "scheme": session.config.scheme,
                 "n_layers": len(records),
                 "n_plans": len(plans),
-                "n_shards": (0 if shard_plan is None
-                             else shard_plan.n_stages),
                 "created_unix_s": time.time(),
             },
             "payload": tree,
@@ -411,31 +396,11 @@ class PlanStore:
         payload = meta["payload"]["items"]
         model = payload["model"]["items"]
         return {
-            "n_shards": 0,  # overridden by post-shard-plan headers
             **meta["header"],
             "model_name": model["name"],
             "seed": model["seed"],
             "layers": sorted(payload["records"]["items"]),
         }
-
-    def load_shard_plan(self):
-        """The persisted :class:`~repro.shard.plan.ShardPlan`, or ``None``.
-
-        Stores written before shard plans existed (or saved without one)
-        return ``None`` — the caller decides whether to re-partition.
-        """
-        from ..shard.plan import ShardPlan
-
-        meta, arrays = self._read()
-        payload = _decode(meta["payload"], arrays)
-        state = payload.get("shard")
-        if state is None:
-            return None
-        try:
-            return ShardPlan.from_state(state)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanStoreError(
-                f"{self.path} has a malformed shard plan: {exc}") from exc
 
     def load(self, model=None, *, count_ops: bool = True,
              keep_masks: bool = False, auto_calibrate: bool = False,

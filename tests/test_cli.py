@@ -65,6 +65,11 @@ class TestParser:
         assert build_parser().parse_args(
             ["plan", "load", "x.npz", "--mmap"]).mmap is True
 
+    def test_profile_measure_flag(self):
+        args = build_parser().parse_args(
+            ["profile", "bert_base", "--measure", "--repeats", "2"])
+        assert args.measure and args.repeats == 2
+
     def test_all_figures_mapped(self):
         assert {"table1", "fig13", "fig16", "fig19"} <= set(EXPERIMENTS)
 
@@ -152,70 +157,12 @@ class TestCommands:
         assert "no calibration, no engine prepare" in text
         assert "served 2 requests" in text
 
-
-class TestShardCli:
-    def test_shard_args(self):
-        args = build_parser().parse_args(
-            ["shard", "bert_base", "--stages", "4", "--depth", "3",
-             "--modeled"])
-        assert args.model == "bert_base"
-        assert args.stages == 4 and args.depth == 3 and args.modeled
-
-    def test_serve_shard_knobs(self):
-        args = build_parser().parse_args(
-            ["serve", "bert_base", "--shards", "3", "--depth", "4",
-             "--stage-workers", "2"])
-        assert args.shards == 3 and args.depth == 4
-        assert args.stage_workers == 2
-        defaults = build_parser().parse_args(["serve", "bert_base"])
-        assert defaults.shards == 0 and defaults.stage_workers is None
-
-    def test_profile_measure_flag(self):
-        args = build_parser().parse_args(
-            ["profile", "bert_base", "--measure", "--repeats", "2"])
-        assert args.measure and args.repeats == 2
-
-    def test_shard_runs_pipelined_demo(self):
-        out = io.StringIO()
-        assert main(["shard", "bert_base", "--stages", "2", "--requests",
-                     "3", "--batch", "1", "--modeled"], out=out) == 0
-        text = out.getvalue()
-        assert "2 stages (modeled costs" in text
-        assert "bit-exact vs session.run" in text
-        assert "stage 1:" in text
-
-    def test_shard_unknown_model(self):
-        out = io.StringIO()
-        assert main(["shard", "not_a_model"], out=out) == 2
-
-    def test_shard_too_many_stages_reports_error(self):
-        out = io.StringIO()
-        assert main(["shard", "bert_base", "--stages", "0"], out=out) == 2
-        assert "--stages must be >= 1" in out.getvalue()
-
-    def test_serve_with_shards(self):
-        out = io.StringIO()
-        assert main(["serve", "bert_base", "--requests", "3", "--batch",
-                     "1", "--max-batch", "3", "--shards", "2"],
-                    out=out) == 0
-        text = out.getvalue()
-        assert "pipeline: 2 stages" in text
-
-    def test_serve_negative_shards_exit_cleanly(self):
-        out = io.StringIO()
-        assert main(["serve", "bert_base", "--shards", "-1"], out=out) == 2
-        assert "--shards must be >= 0" in out.getvalue()
-
-    def test_serve_process_backend_with_shards(self):
-        """backend=process + --shards deploys process-per-stage now."""
+    def test_serve_process_backend(self):
         out = io.StringIO()
         assert main(["serve", "bert_base", "--requests", "3", "--batch",
                      "1", "--max-batch", "3", "--backend", "process",
-                     "--workers", "2", "--blas-threads", "1",
-                     "--shards", "2"], out=out) == 0
-        text = out.getvalue()
-        assert "pipeline: 2 stages" in text
-        assert "process pool: 2 workers" in text
+                     "--workers", "2", "--blas-threads", "1"], out=out) == 0
+        assert "process pool: 2 workers" in out.getvalue()
 
     def test_plan_load_mmap(self, tmp_path):
         path = str(tmp_path / "bert.plans.npz")

@@ -13,11 +13,6 @@ randomness instead of hand-picked shapes:
   per-tensor/per-channel weights: solo ``run``, the sliced exec path,
   ``run_coalesced`` and a concurrent worker-pool server must all emit
   identical bits;
-* **shard level** — the same engine × granularity × exec-path grid run
-  through two-stage :class:`~repro.shard.session.ShardedSession` pipelines
-  (solo and pipelined) and a sharded ``ModelServer`` deployment: stage
-  scheduling must never change a bit, fp32 included (each pipelined
-  request keeps its own engine batch, so no float reassociation applies).
 
 The base seed comes from ``REPRO_CONFORMANCE_SEED`` (CI rotates it through
 a matrix) so every run fuzzes a fresh corner while staying reproducible:
@@ -192,11 +187,7 @@ class TestKernelConcurrentSharedPlan:
 
 
 class _FuzzNet(Module):
-    """Two-layer MLP with randomized widths (the session-fuzz substrate).
-
-    Implements the shard protocol so the sharded-execution leg fuzzes the
-    same models: two segments whose composition is exactly ``forward``.
-    """
+    """Two-layer MLP with randomized widths (the session-fuzz substrate)."""
 
     def __init__(self, rng, in_features, hidden, out_features):
         super().__init__()
@@ -205,12 +196,6 @@ class _FuzzNet(Module):
 
     def forward(self, x):
         return self.fc2(np.maximum(self.fc1(x), 0.0))
-
-    def pipeline_segments(self):
-        return [
-            ("fc1", ("fc1",), lambda x: np.maximum(self.fc1(x), 0.0)),
-            ("fc2", ("fc2",), lambda x: self.fc2(x)),
-        ]
 
 
 def _session_case(engine_name, granularity, exec_path, dims, model_seed):
@@ -291,73 +276,6 @@ class TestSessionFuzz:
         assert set(available_engines()) == set(ENGINES)
 
 
-class TestShardFuzz:
-    """Sharded execution never changes a bit: every engine x granularity
-    x exec path, solo-through-stages and pipelined-through-the-pool both
-    equal ``PanaceaSession.run``.
-
-    Stronger than the coalesced leg: a pipelined request keeps its own
-    engine batch (no column fusion), so even the fp32 reference engine is
-    held to exact equality — same ops, same shapes, same order, just
-    scheduled across threads.
-    """
-
-    @pytest.mark.parametrize("granularity", GRANULARITIES)
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_sharded_equals_run_both_exec_paths(self, engine_name,
-                                                granularity):
-        from repro.shard import ShardedSession
-
-        rng = _rng(7, hash(engine_name) & 0xFFFF,
-                   hash(granularity) & 0xFFFF)
-        dims = tuple(int(rng.integers(6, 40)) for _ in range(3))
-        model_seed = int(rng.integers(0, 2 ** 31))
-        requests = [rng.normal(0, 1, (int(rng.integers(1, 5)), dims[0]))
-                    for _ in range(5)]
-        label = (f"{engine_name}/{granularity} dims={dims} "
-                 f"seed={BASE_SEED}")
-
-        for exec_path in ("fast", "sliced"):
-            reference = _session_case(engine_name, granularity, exec_path,
-                                      dims, model_seed)
-            expected = [reference.run(x) for x in requests]
-            session = _session_case(engine_name, granularity, exec_path,
-                                    dims, model_seed)
-            with ShardedSession.partition(session, 2, depth=3) as sharded:
-                solo = [sharded.run(x) for x in requests]
-                piped = sharded.run_pipelined(requests)
-            for got, expect in zip(solo, expected):
-                assert np.array_equal(got, expect), \
-                    f"{label}/{exec_path}: sharded run != run"
-            for got, expect in zip(piped, expected):
-                assert np.array_equal(got, expect), \
-                    f"{label}/{exec_path}: pipelined != run"
-
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_sharded_serving_matches_unsharded_server(self, engine_name):
-        """A sharded deployment behind the ModelServer answers byte-for-
-        byte what an unsharded deployment answers."""
-        rng = _rng(8, hash(engine_name) & 0xFFFF)
-        dims = tuple(int(rng.integers(6, 32)) for _ in range(3))
-        model_seed = int(rng.integers(0, 2 ** 31))
-        requests = [rng.normal(0, 1, (2, dims[0])) for _ in range(4)]
-        plain = _session_case(engine_name, "per_tensor", "fast", dims,
-                              model_seed)
-        sharded = _session_case(engine_name, "per_tensor", "fast", dims,
-                                model_seed)
-        with ModelServer(BatchPolicy(max_batch=2,
-                                     max_delay_s=0.0)) as server:
-            server.register("plain", plain)
-            server.register("sharded", sharded, shards=2)
-            a = [t.result() for t in server.submit_many("plain", requests)]
-            b = [t.result() for t in server.submit_many("sharded",
-                                                        requests)]
-        for got, expect in zip(b, a):
-            assert np.array_equal(got, expect), \
-                f"{engine_name}: sharded deployment differs " \
-                f"(seed={BASE_SEED})"
-
-
 def _build_fuzz_net(model_seed, dims):
     """Module-level factory so spawn can rebuild the model in a worker.
 
@@ -413,90 +331,6 @@ class TestProcessBackendFuzz:
                         f"{label}/{exec_path}: process backend != serial"
                 stats = server.stats(exec_path)
                 assert stats["session"]["n_requests"] == len(requests)
-
-
-class TestShardedProcessFuzz:
-    """Process-per-stage sharded pipelines never change a bit: all four
-    engines x both granularities x both exec paths, stages rehydrated from
-    a plan store in spawned workers (activations over per-edge shm rings,
-    traces folded back by state), vs serial ``PanaceaSession.run``.
-
-    Strict equality even for fp32: each request keeps its own engine batch
-    through the pipeline — stages change *where* work runs, never what.
-    """
-
-    @pytest.mark.parametrize("granularity", GRANULARITIES)
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_process_stages_equal_serial_run(self, engine_name, granularity,
-                                             tmp_path):
-        import functools
-
-        from repro.serve import PlanStore, ProcessWorkerPool
-        from repro.shard import ShardedSession
-
-        rng = _rng(10, hash(engine_name) & 0xFFFF,
-                   hash(granularity) & 0xFFFF)
-        dims = tuple(int(rng.integers(6, 32)) for _ in range(3))
-        model_seed = int(rng.integers(0, 2 ** 31))
-        requests = [rng.normal(0, 1, (int(rng.integers(1, 5)), dims[0]))
-                    for _ in range(5)]
-        label = (f"{engine_name}/{granularity} dims={dims} "
-                 f"seed={BASE_SEED}")
-        factory = functools.partial(_build_fuzz_net, model_seed, dims)
-
-        with ProcessWorkerPool(2, blas_threads=1) as pool:
-            for exec_path in ("fast", "sliced"):
-                reference = _session_case(engine_name, granularity,
-                                          exec_path, dims, model_seed)
-                expected = [reference.run(x) for x in requests]
-                session = _session_case(engine_name, granularity, exec_path,
-                                        dims, model_seed)
-                path = tmp_path / f"{engine_name}-{exec_path}.plans.npz"
-                PlanStore(path).save(session)
-                with ShardedSession.partition(
-                        session, 2, pool=pool, depth=3, store_path=path,
-                        model_factory=factory,
-                        name=f"fuzz-{exec_path}") as sharded:
-                    solo = [sharded.run(x) for x in requests]
-                    piped = sharded.run_pipelined(requests)
-                    edges = sharded.stage_stats()["stage_edges"]
-                for got, expect in zip(solo, expected):
-                    assert np.array_equal(got, expect), \
-                        f"{label}/{exec_path}: sharded run != run"
-                for got, expect in zip(piped, expected):
-                    assert np.array_equal(got, expect), \
-                        f"{label}/{exec_path}: process stages != run"
-                # The pipelined leg really used the shm stage transport.
-                assert sum(e["n_frames"] + e["n_pipe_fallback"]
-                           for e in edges) >= len(requests)
-
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_process_sharded_server_matches_serial(self, engine_name,
-                                                   tmp_path):
-        """ModelServer(backend='process', shards=2) answers byte-for-byte
-        what serial execution answers."""
-        import functools
-
-        rng = _rng(11, hash(engine_name) & 0xFFFF)
-        dims = tuple(int(rng.integers(6, 32)) for _ in range(3))
-        model_seed = int(rng.integers(0, 2 ** 31))
-        requests = [rng.normal(0, 1, (2, dims[0])) for _ in range(4)]
-        factory = functools.partial(_build_fuzz_net, model_seed, dims)
-        reference = _session_case(engine_name, "per_tensor", "fast", dims,
-                                  model_seed)
-        expected = [reference.run(x) for x in requests]
-        session = _session_case(engine_name, "per_tensor", "fast", dims,
-                                model_seed)
-        with ModelServer(BatchPolicy(max_batch=2, max_delay_s=0.0),
-                         workers=2, backend="process") as server:
-            server.register("fuzz", session, shards=2,
-                            model_factory=factory)
-            tickets = server.submit_many("fuzz", requests)
-            server.flush("fuzz")
-            for ticket, expect in zip(tickets, expected):
-                assert np.array_equal(ticket.result(), expect), \
-                    f"{engine_name}: process-sharded server differs " \
-                    f"(seed={BASE_SEED})"
 
 
 def _decode_lm_case(engine_name, granularity, exec_path, rng):

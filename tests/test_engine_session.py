@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.pipeline import PtqConfig, PtqPipeline
 from repro.engine import PanaceaSession
+from repro.gemm.workload import OpCounts
+from repro.models.zoo import build_proxy, proxy_batches
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
@@ -333,3 +335,61 @@ class TestCoalescedEdgeCases:
         outputs, records = session.serve_coalesced(good)
         assert len(outputs) == 2
         assert session.stats()["n_requests"] == 2
+
+
+def _proxy_session(name="bert_base", scheme="aqs", seed=0):
+    model, _ = build_proxy(name, seed=seed)
+    session = PanaceaSession(model, PtqConfig.for_scheme(scheme))
+    session.calibrate(proxy_batches(name, 2, 2, seed=seed + 1))
+    return session
+
+
+class TestProfile:
+    def test_profile_measures_without_polluting_stats(self):
+        session = _proxy_session()
+        report = session.profile(
+            proxy_batches("bert_base", 2, 1, seed=5)[0], repeats=2)
+        assert session.stats()["n_requests"] == 0
+        assert len(session.trace.records) == 0
+        assert set(layer.name for layer in report.layers) == \
+            set(session.plans)
+        assert all(layer.n_calls == 2 for layer in report.layers)
+        assert all(layer.total_s > 0 for layer in report.layers)
+        assert report.total_s >= report.layer_s
+        assert report.other_s >= 0
+        assert report.total_ops().mul4 > 0
+
+    def test_profile_latency_by_layer_is_mean(self):
+        session = _proxy_session()
+        report = session.profile(
+            proxy_batches("bert_base", 1, 1, seed=5)[0], repeats=3)
+        by_layer = report.latency_by_layer()
+        for layer in report.layers:
+            assert by_layer[layer.name] == \
+                pytest.approx(layer.total_s / 3)
+
+    def test_profile_rejects_bad_repeats_and_unprepared(self):
+        session = _proxy_session()
+        with pytest.raises(ValueError, match="repeats"):
+            session.profile(np.zeros((1, 2)), repeats=0)
+        model, _ = build_proxy("bert_base", seed=0)
+        fresh = PanaceaSession(model, PtqConfig.for_scheme("aqs"))
+        with pytest.raises(RuntimeError, match="calibrated"):
+            fresh.profile(np.zeros((1, 24, 192)))
+
+    def test_serving_records_carry_layer_latency(self):
+        session = _proxy_session()
+        _, (record,) = session.serve_coalesced(
+            [proxy_batches("bert_base", 1, 1, seed=5)[0]])
+        layers = record.layers
+        assert layers and all(rec.latency_s >= 0 for rec in layers)
+        assert sum(rec.latency_s for rec in layers) > 0
+
+    def test_record_external_accounting(self):
+        session = _proxy_session()
+        record = session.record_external((2, 3), [], 0.25)
+        assert record.request_id == 0
+        stats = session.stats()
+        assert stats["n_requests"] == 1
+        assert stats["exec_s"] == pytest.approx(0.25)
+        assert session.total_ops() == OpCounts()

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gemm.sibia_gemm import sibia_gemm
+from repro.bitslice.slicing import sbr_ho_zero_range, slice_sbr
+from repro.bitslice.vectors import activation_vector_mask
+from repro.gemm.sibia_gemm import (SibiaLayerPlan, execute_sibia,
+                                   prepare_sibia, sibia_gemm)
 from repro.gemm.workload import table1_sibia
 
 
@@ -116,3 +119,49 @@ def test_property_sibia_exact(seed, tracked):
     x = np.clip(np.rint(rng.normal(0, 8, (16, 8))), -64, 63).astype(int)
     res = sibia_gemm(w, x, tracked=tracked)
     assert np.array_equal(res.acc, w.astype(np.int64) @ x)
+
+
+class TestFastPathMask:
+    def test_ho_zero_range_known_widths(self):
+        assert sbr_ho_zero_range(4) == (0, 0)
+        assert sbr_ho_zero_range(7) == (-8, 7)
+
+    def test_out_of_range_codes_raise_on_both_paths(self):
+        w = np.ones((4, 8), dtype=np.int64)
+        for exec_path in ("fast", "sliced"):
+            plan = prepare_sibia(w, exec_path=exec_path)
+            for bad in (64, -65):
+                x = np.zeros((8, 2), dtype=np.int64)
+                x[3, 1] = bad
+                with pytest.raises(ValueError, match="out of range"):
+                    execute_sibia(plan, x)
+
+    def test_sum_uw_is_derived_not_stored(self):
+        rng = np.random.default_rng(3)
+        w, _ = _symmetric_case(rng)
+        plan = prepare_sibia(w)
+        state = plan.state_dict()
+        assert "sum_uw" not in state
+        assert SibiaLayerPlan.from_state(state).sum_uw == \
+            plan.sum_uw == int(plan.uw.sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([4, 7, 10]), st.sampled_from([1, 2, 4, 8, 16]),
+       st.sampled_from([1, 2, 4, 8]), st.integers(0, 2 ** 31 - 1))
+def test_property_ho_zero_interval_mask_matches_sliced(x_bits, n, v, seed):
+    """Reading the HO-zero mask off the codes equals slicing them, over
+    every code of the width (each appears exactly once in ``x``)."""
+    bound = 1 << (x_bits - 1)
+    x = np.random.default_rng(seed).permutation(
+        np.arange(-bound, bound)).reshape(-1, n)
+    lo, hi = sbr_ho_zero_range(x_bits)
+    ho = slice_sbr(x, total_bits=x_bits).ho
+    outside = (x < lo) | (x > hi)
+    assert np.array_equal(outside, ho != 0)
+    expect = activation_vector_mask(ho, v=v, compress_value=0)
+    assert np.array_equal(
+        activation_vector_mask(outside, v=v, compress_value=0), expect)
+    plan = prepare_sibia(np.ones((4, x.shape[0]), dtype=np.int64),
+                         x_bits=x_bits, v=v)
+    assert np.array_equal(execute_sibia(plan, x).ux_mask, expect)

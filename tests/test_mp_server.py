@@ -140,31 +140,6 @@ def test_unregister_unloads_from_workers():
                 "bert", [proxy_batches(MODEL, 1, 1, seed=0)[0]])
 
 
-def test_process_backend_shards_deployments():
-    """shards=N on backend='process' deploys process-per-stage, bit-exact."""
-    reference_session = _prepared_session(seed=0)
-    stream = proxy_batches(MODEL, 2, 4, seed=33)
-    expected = [reference_session.run(x) for x in stream]
-    with ModelServer(workers=2, backend="process") as server:
-        entry = server.register("bert", _prepared_session(seed=0), shards=2,
-                                model_name=MODEL)
-        assert entry.sharded and not entry.remote
-        tickets = server.submit_many("bert", stream)
-        server.flush("bert")
-        for ticket, expect in zip(tickets, expected):
-            assert np.array_equal(ticket.result(), expect)
-        pipe = server.stats("bert")["pipeline"]
-        assert pipe["n_stages"] == 2
-        # Stage activations crossed real process boundaries over the
-        # per-edge rings (no pipe fallback for these small batches).
-        edges = pipe["stage_edges"]
-        assert len(edges) == 2
-        assert all(e["n_frames"] >= len(stream) for e in edges)
-        assert {e["worker"] for e in edges} == {0, 1}
-        server.unregister("bert")
-        assert server.process_pool.stage_edge_stats() == {}
-
-
 def test_process_backend_rejects_auto_calibrate_sessions():
     model, _ = build_proxy(MODEL, seed=0)
     session = PanaceaSession(model, PtqConfig.for_scheme("aqs"),
@@ -187,56 +162,3 @@ def test_process_backend_needs_workers():
         ModelServer(backend="process")
     with pytest.raises(ValueError, match="backend"):
         ModelServer(workers=1, backend="gpu")
-
-
-def test_sharded_session_on_process_pool_needs_store(tmp_path):
-    """A cross-process pool is accepted — but only with a plan store."""
-    from repro.serve import ProcessWorkerPool
-    from repro.shard import ShardedSession, auto_partition
-
-    session = _prepared_session(seed=0)
-    plan = auto_partition(session, 2)
-    with ProcessWorkerPool(1, blas_threads=1) as pool:
-        # The refusal is the typed capability error and stays catchable as
-        # the historical TypeError.
-        with pytest.raises(BackendCapabilityError, match="store_path"):
-            ShardedSession(session, plan, pool=pool)
-        with pytest.raises(TypeError):
-            ShardedSession(session, plan, pool=pool)
-        path = tmp_path / "bert.plans.npz"
-        PlanStore(path).save(session, model_name=MODEL, seed=0)
-        sharded = ShardedSession(session, plan, pool=pool, store_path=path)
-        x = proxy_batches(MODEL, 2, 1, seed=40)[0]
-        assert np.array_equal(sharded.run(x), _prepared_session(seed=0).run(x))
-        sharded.close()
-
-
-def test_sharded_session_workers_override():
-    """workers= sizes the owned stage pool; rejected with a shared pool."""
-    from repro.serve import WorkerPool
-    from repro.shard import ShardedSession, auto_partition
-
-    session = _prepared_session(seed=0)
-    plan = auto_partition(session, 2)
-    sharded = ShardedSession(session, plan, workers=1)
-    assert sharded.pool.workers == 1
-    x = proxy_batches(MODEL, 2, 1, seed=41)[0]
-    assert np.array_equal(sharded.run(x), _prepared_session(seed=0).run(x))
-    sharded.close()
-    with pytest.raises(ValueError, match="workers"):
-        ShardedSession(session, plan, workers=0)
-    with WorkerPool(2) as pool:
-        with pytest.raises(ValueError, match="shared pool"):
-            ShardedSession(session, plan, pool=pool, workers=3)
-
-
-def test_server_stage_workers_threads_through():
-    session = _prepared_session(seed=0)
-    with ModelServer() as server:
-        entry = server.register("bert", session, shards=2, stage_workers=1)
-        assert entry.session.pool.workers == 1
-        x = proxy_batches(MODEL, 2, 1, seed=42)[0]
-        ticket = server.submit("bert", x)
-        server.flush("bert")
-        assert np.array_equal(ticket.result(),
-                              _prepared_session(seed=0).run(x))

@@ -1,12 +1,12 @@
 """Cross-process trace propagation: span-tree parity and crash closure.
 
-Stage spans are opened and closed on the *driver's* clock; the trace id
-crosses into worker processes via the task envelope and the ShmRing frame
-header, and worker-measured durations ride back as span attributes.  The
-contract under test: a traced request served by ``backend="process"``
-with ``shards=2`` yields the *same span tree* (names and parentage) as
-the thread backend, and a worker killed mid-batch leaves an error-status
-span — never an unclosed leak.
+Spans are opened and closed on the *driver's* clock; the trace id crosses
+into worker processes via the task envelope and the ShmRing frame header,
+and worker-measured durations ride back as span attributes.  The contract
+under test: a traced request served by ``backend="process"`` yields the
+*same span tree* (names and parentage) as the thread backend, and a
+worker killed mid-batch leaves an error-status span — never an unclosed
+leak.
 
 Everything that crosses the spawn boundary lives at module level (same
 discipline as ``test_mp_server.py``).
@@ -75,24 +75,21 @@ def _one_traced_request(server):
     return ticket.trace, out
 
 
-def test_process_shards_span_tree_matches_thread_backend():
+def test_process_span_tree_matches_thread_backend():
     policy = BatchPolicy(max_batch=1, max_delay_s=0.0)
 
     with ModelServer(policy) as server:
-        server.register("bert", _prepared_session(seed=0), shards=2,
-                        model_name=MODEL)
+        server.register("bert", _prepared_session(seed=0), model_name=MODEL)
         thread_trace, thread_out = _one_traced_request(server)
 
     with ModelServer(policy, workers=2, backend="process") as server:
-        server.register("bert", _prepared_session(seed=0), shards=2,
-                        model_name=MODEL)
+        server.register("bert", _prepared_session(seed=0), model_name=MODEL)
         proc_trace, proc_out = _one_traced_request(server)
 
     # Same spans, same parentage — the tree shape is backend-invariant.
     shape = _tree_shape(proc_trace)
     assert shape == _tree_shape(thread_trace)
-    assert ("stage[0]", "engine_execute") in shape
-    assert ("stage[1]", "engine_execute") in shape
+    assert ("engine_execute", "bert") in shape
     assert ("queue_wait", "bert") in shape
     assert ("batch_release", "bert") in shape
     for trace in (thread_trace, proc_trace):
@@ -100,11 +97,11 @@ def test_process_shards_span_tree_matches_thread_backend():
         assert trace.status == "ok"
     # Same answer too (tracing never perturbs the data path).
     assert np.array_equal(thread_out, proc_out)
-    # The process-backend stage spans crossed a real boundary: the worker's
+    # The process-backend span crossed a real boundary: the worker's
     # own-clock execution time rode back as an attribute.
-    for k in range(2):
-        span, = proc_trace.find(f"stage[{k}]")
-        assert span.attrs["worker_exec_s"] > 0.0
+    span, = proc_trace.find("engine_execute")
+    assert span.attrs["backend"] == "process"
+    assert span.attrs["worker_exec_s"] > 0.0
 
 
 def test_traced_request_survives_untraced_neighbours():
@@ -114,8 +111,7 @@ def test_traced_request_survives_untraced_neighbours():
     policy = BatchPolicy(max_batch=1, max_delay_s=0.0)
     with ModelServer(policy, workers=2, backend="process",
                      trace_sample=0.0) as server:
-        server.register("bert", _prepared_session(seed=0), shards=2,
-                        model_name=MODEL)
+        server.register("bert", _prepared_session(seed=0), model_name=MODEL)
         stream = proxy_batches(MODEL, 2, 3, seed=45)
         untraced_a = server.submit("bert", stream[0])
         traced = server._get("bert").batcher.submit(
@@ -126,7 +122,7 @@ def test_traced_request_survives_untraced_neighbours():
         assert untraced_a.trace is None and untraced_b.trace is None
         assert traced.trace is not None
         assert traced.trace.validate() == []
-        assert len(traced.trace.find("stage[0]")) == 1
+        assert len(traced.trace.find("engine_execute")) == 1
 
 
 def test_worker_kill_mid_batch_leaves_error_span_not_a_leak():

@@ -51,8 +51,8 @@ def _solo_decode(prompt, max_new, scheme="aqs", seed=0):
     return DecodeSession(_lm_session(scheme, seed)).generate(prompt, max_new)
 
 
-class _ShardableMlp(Module):
-    """Two-segment MLP implementing the shard protocol (no decode API)."""
+class _Mlp(Module):
+    """Two-layer MLP with no incremental decode API."""
 
     def __init__(self, rng):
         super().__init__()
@@ -61,12 +61,6 @@ class _ShardableMlp(Module):
 
     def forward(self, x):
         return self.fc2(np.maximum(self.fc1(x), 0.0))
-
-    def pipeline_segments(self):
-        return [
-            ("fc1", ("fc1",), lambda x: np.maximum(self.fc1(x), 0.0)),
-            ("fc2", ("fc2",), lambda x: self.fc2(x)),
-        ]
 
 
 class TestDecodePolicy:
@@ -81,7 +75,7 @@ class TestDecodePolicy:
             DecodePolicy(temperature=-1.0)
 
     def test_batcher_requires_incremental_model(self):
-        mlp = _ShardableMlp(np.random.default_rng(0))
+        mlp = _Mlp(np.random.default_rng(0))
         session = PanaceaSession(
             mlp, PtqConfig.for_scheme("aqs"),
             calibration=[np.random.default_rng(1).normal(0, 1, (4, 8))])
@@ -385,28 +379,18 @@ class TestServerDecode:
             server.flush("lm")
             assert ticket.done and len(ticket.tokens) == 3
 
-    def test_decode_refused_on_sharded_deployment(self):
-        mlp = _ShardableMlp(np.random.default_rng(0))
-        session = PanaceaSession(
-            mlp, PtqConfig.for_scheme("aqs"),
-            calibration=[np.random.default_rng(1).normal(0, 1, (4, 8))])
-        with ModelServer() as server:
-            server.register("mlp", session, shards=2)
-            with pytest.raises(BackendCapabilityError, match="sharded"):
-                server.submit_decode("mlp", np.arange(4))
-
     def test_decode_refused_on_process_backend(self):
         import functools
 
         with ModelServer(workers=1, backend="process") as server:
             server.register(
                 "mlp", PanaceaSession(
-                    _ShardableMlp(np.random.default_rng(0)),
+                    _Mlp(np.random.default_rng(0)),
                     PtqConfig.for_scheme("aqs"),
                     calibration=[np.random.default_rng(1).normal(
                         0, 1, (4, 8))]),
                 model_factory=functools.partial(
-                    _ShardableMlp, np.random.default_rng(0)))
+                    _Mlp, np.random.default_rng(0)))
             with pytest.raises(BackendCapabilityError, match="process"):
                 server.submit_decode("mlp", np.arange(4))
 

@@ -82,14 +82,21 @@ class TestAccounting:
     def test_in_flight_task_counts_as_busy(self):
         """A worker mid-task must read busy, not idle — the slow-drain
         moment is exactly when the dashboard matters."""
-        release = threading.Event()
-        with WorkerPool(1) as pool:
-            future = pool.submit(lambda: release.wait(5.0))
-            time.sleep(0.02)                 # task is now in flight
+        now = [0.0]
+        started, release = threading.Event(), threading.Event()
+
+        def task():
+            started.set()
+            release.wait(5.0)
+
+        with WorkerPool(1, clock=lambda: now[0]) as pool:
+            future = pool.submit(task)
+            assert started.wait(5.0)         # task is now in flight
+            now[0] = 2.0
             stats = pool.stats()
             release.set()
             future.result(timeout=5.0)
-        assert stats["per_worker"][0]["busy_s"] > 0.0
+        assert stats["per_worker"][0]["busy_s"] == pytest.approx(2.0)
         assert stats["mean_utilization"] > 0.0
 
     def test_utilization_bounded(self):
@@ -133,9 +140,8 @@ class TestLifecycle:
 
 
 class TestNestedSubmission:
-    """The pipeline regression set: a task submitting downstream work to
-    its own pool must neither deadlock the fixed pool nor double-count
-    busy seconds."""
+    """A task submitting downstream work to its own pool must neither
+    deadlock the fixed pool nor double-count busy seconds."""
 
     def test_nested_run_all_single_worker_completes(self):
         """Every worker busy in an outer run_all used to deadlock: the

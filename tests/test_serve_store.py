@@ -209,6 +209,33 @@ class TestStoreHeaderValidation:
         with pytest.raises(ValueError, match="newer store version"):
             store.load(model=TinyNet())
 
+    def test_legacy_shard_entry_is_ignored(self, tmp_path):
+        """Stores written while shard plans were persisted carry a payload
+        ``shard`` entry and a header ``n_shards``; both are ignored."""
+        session = PanaceaSession(TinyNet(), PtqConfig(scheme="aqs"),
+                                 calibration=_batches())
+        store = self._saved(tmp_path)
+        legacy = {"__kind__": "dict", "items": {
+            "source": "modeled",
+            "stages": {"__kind__": "list", "items": [
+                {"__kind__": "dict", "items": {
+                    "segments": {"__kind__": "list", "items": [name]},
+                    "layers": {"__kind__": "list", "items": [name]},
+                    "cost": 1.0}}
+                for name in ("fc1", "fc2")]}}}
+
+        def mutate(meta):
+            meta["header"]["n_shards"] = 2
+            meta["payload"]["items"]["shard"] = legacy
+
+        self._rewrite_meta(store, mutate)
+        info = store.describe()
+        assert info["version"] == STORE_VERSION
+        assert info["layers"] == ["fc1", "fc2"]
+        loaded = store.load(model=TinyNet())
+        for x in _batches(seed=9):
+            assert np.array_equal(loaded.run(x), session.run(x))
+
     def test_non_store_npz_rejected(self, tmp_path):
         path = tmp_path / "random.npz"
         np.savez(path, a=np.zeros(3))

@@ -1,7 +1,7 @@
 """The session's only ledger is its lifetime counters.
 
-Every serving path — ``run``, ``serve_coalesced``, the micro-batcher, the
-continuous-batching decoder and the sharded pipeline — hands each
+Every serving path — ``run``, ``serve_coalesced``, the micro-batcher and
+the continuous-batching decoder — hands each
 :class:`~repro.engine.session.RequestRecord` to its caller and keeps none:
 after hundreds of requests the shared trace is still empty, and the
 lifetime ``stats()`` equal the sum over the records the calls returned.
@@ -13,7 +13,6 @@ from repro.core.pipeline import PtqConfig
 from repro.engine import PanaceaSession
 from repro.nn import CausalLM
 from repro.serve import BatchPolicy, DecodeBatcher, DecodePolicy, MicroBatcher
-from repro.shard import ShardedSession
 
 VOCAB = 64
 N_REQUESTS = 200
@@ -93,13 +92,4 @@ class TestBoundedLedger:
         assert all(len(t.tokens) == 2 for t in tickets)
         # One prefill record per request, plus the batched steps.
         assert len(records) >= N_REQUESTS
-        _assert_ledger(session, records)
-
-    def test_sharded_session(self):
-        session = _lm_session()
-        requests = _requests()
-        records = []
-        with ShardedSession.partition(session, 2) as sharded:
-            for i in range(0, len(requests), 8):
-                records.extend(sharded.serve_coalesced(requests[i:i + 8])[1])
         _assert_ledger(session, records)

@@ -1,10 +1,9 @@
-"""ShmRing framing edge cases: exact-boundary wraps, oversize fallback
-accounting, and interleaved multi-stream frames in one slotted segment.
+"""ShmRing framing edge cases: exact-boundary wraps and oversize fallback
+accounting.
 
 These are the corners the serving protocol normally never hits (frames are
-far smaller than the ring) but the stage transport depends on: a pipeline
-edge's slotted ring must refuse — not corrupt — a frame one byte too big,
-and must keep ``depth`` interleaved frames simultaneously readable.
+far smaller than the ring): the ring must refuse — not corrupt — a frame
+one alignment chunk too big, so the pool can fall back to the pipe.
 """
 
 import numpy as np
@@ -55,21 +54,18 @@ def test_unslotted_wrap_at_exact_capacity_boundary():
         ring.close()
 
 
-def test_slotted_accepts_exact_region_and_refuses_one_chunk_more():
-    ring = ShmRing(4096, slots=2)
+def test_accepts_exact_capacity_and_refuses_one_chunk_more():
+    ring = ShmRing(4096)
     try:
-        region = ring.capacity // 2
-        exact = _array_for_frame(region, 2.0)
-        assert ShmRing.frame_size([exact]) == region
+        exact = _array_for_frame(ring.capacity, 2.0)
+        assert ShmRing.frame_size([exact]) == ring.capacity
         assert ring.write(0, [exact]) == 0
-        # One alignment chunk more than a region: refused, not truncated.
-        over = np.full(region // 8, 3.0, dtype=np.float64)
-        assert ShmRing.frame_size([over]) > region
+        # One alignment chunk more than the ring: refused, not truncated.
+        over = np.full(ring.capacity // 8, 3.0, dtype=np.float64)
+        assert ShmRing.frame_size([over]) > ring.capacity
         assert ring.write(1, [over]) is None
-        # The refusal consumed no slot and no sequence number: the next
-        # fitting frame lands in slot 1, and the exact frame is unharmed.
-        assert ring.write(2, [_array_for_frame(128, 4.0)]) == region
-        assert ring.n_frames == 2
+        # The refusal wrote nothing: the exact frame is unharmed.
+        assert ring.n_frames == 1
         assert ring.n_wraps == 0
         _, _, arrays = ring.read(0)
         assert np.all(arrays[0] == 2.0)
@@ -80,69 +76,22 @@ def test_slotted_accepts_exact_region_and_refuses_one_chunk_more():
 def test_oversize_fallback_conserves_counters():
     """A None write is pure fallback signalling: no frame, no wrap, and
     the frames-written + fallbacks tally equals the attempts made."""
-    ring = ShmRing(4096, slots=4)
+    ring = ShmRing(4096)
     try:
-        region = ring.capacity // 4
         attempts, fallbacks = 0, 0
         rng = np.random.default_rng(0)
         for i in range(12):
             big = bool(i % 3 == 2)
-            n = (region * 2 if big else 64) // 8
+            n = (ring.capacity * 2 if big else 64) // 8
             offset = ring.write(i, [rng.standard_normal(n)])
             attempts += 1
             if offset is None:
                 fallbacks += 1
         assert fallbacks == 4
         assert ring.n_frames == attempts - fallbacks
-        # 8 accepted frames over 4 slots: slot 0 was re-entered exactly once.
-        assert ring.n_wraps == 1
+        # 8 accepted 128-byte frames fill a quarter of the ring: no wrap.
+        assert ring.n_wraps == 0
     finally:
-        ring.close()
-
-
-def test_interleaved_streams_share_one_slotted_segment():
-    """Two stage edges' frame streams interleaved through one segment:
-    with ``slots >= `` the in-flight total, every frame stays readable,
-    tagged and byte-correct despite the interleaving."""
-    ring = ShmRing(8192, slots=4)
-    try:
-        rng = np.random.default_rng(7)
-        payloads = {}
-        offsets = {}
-        # Edge A tags req_ids 100+i, edge B 200+i; writes alternate.
-        for i in range(2):
-            for edge, base in (("a", 100), ("b", 200)):
-                arr = rng.standard_normal(32)
-                payloads[(edge, i)] = arr.copy()
-                offsets[(edge, i)] = ring.write(base + i, [arr])
-        assert ring.n_frames == 4
-        assert len({off for off in offsets.values()}) == 4  # distinct slots
-        for (edge, i), offset in offsets.items():
-            req_id, _tid, arrays = ring.read(offset)
-            assert req_id == (100 if edge == "a" else 200) + i
-            assert np.array_equal(arrays[0], payloads[(edge, i)])
-    finally:
-        ring.close()
-
-
-def test_attached_writer_shares_slot_geometry():
-    """attach(slots=) gives a second handle the creator's rotation — the
-    stage-response direction, where the attaching side is the writer."""
-    ring = ShmRing(4096, slots=2)
-    writer = ShmRing.attach(ring.name, slots=2)
-    try:
-        region = ring.capacity // 2
-        assert writer.capacity == ring.capacity
-        a = writer.write(0, [np.arange(8.0)])
-        b = writer.write(1, [np.arange(8.0) + 1])
-        c = writer.write(2, [np.arange(8.0) + 2])
-        assert (a, b, c) == (0, region, 0)
-        assert writer.n_wraps == 1
-        req_id, _tid, arrays = ring.read(region)
-        assert req_id == 1
-        assert np.array_equal(arrays[0], np.arange(8.0) + 1)
-    finally:
-        writer.close()
         ring.close()
 
 
@@ -150,7 +99,7 @@ def test_trace_id_rides_frame_header():
     """The u64 trace id round-trips through the frame header, defaults to
     0 (untraced), and is per-frame state — one traced frame does not
     contaminate its neighbours."""
-    ring = ShmRing(4096, slots=2)
+    ring = ShmRing(4096)
     try:
         tid = 0xDEAD_BEEF_CAFE_F00D
         off_a = ring.write(1, [np.arange(4.0)], trace_id=tid)
@@ -164,19 +113,11 @@ def test_trace_id_rides_frame_header():
         ring.close()
 
 
-def test_slotted_geometry_validation():
-    with pytest.raises(ValueError, match="slots"):
-        ShmRing(4096, slots=0)
-    with pytest.raises(ValueError, match="slots"):
-        ShmRing(256, slots=128)
-
-
 def test_read_rejects_empty_offset():
-    ring = ShmRing(4096, slots=2)
+    ring = ShmRing(4096)
     try:
-        region = ring.capacity // 2
         ring.write(0, [np.arange(4.0)])
         with pytest.raises(ValueError, match="magic"):
-            ring.read(region)  # slot 1 never written
+            ring.read(ring.capacity // 2)  # never written
     finally:
         ring.close()
