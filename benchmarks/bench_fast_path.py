@@ -16,7 +16,9 @@ Run:        PYTHONPATH=src python benchmarks/bench_fast_path.py
 CI smoke:   PYTHONPATH=src python benchmarks/bench_fast_path.py --smoke
 (the smoke run skips timing and only checks bit-exactness and identical
 op ledgers across the full scheme/config grid, narrow widths and one
-float64-gated operand set, so it is fast enough for every push)
+float64-gated operand set, then fills every AQS call's ledger as one batch
+and checks it against the per-call ledger, so it is fast enough for every
+push)
 """
 
 import argparse
@@ -26,7 +28,8 @@ import time
 import numpy as np
 from _util import emit, emit_json
 
-from repro.core.aqs_gemm import AqsGemmConfig, execute_aqs, prepare_aqs
+from repro.core.aqs_gemm import (AqsGemmConfig, aqs_ledgers, execute_aqs,
+                                 prepare_aqs)
 from repro.eval.tables import format_table
 from repro.gemm.sibia_gemm import execute_sibia, prepare_sibia
 
@@ -88,13 +91,22 @@ def _assert_same(fast, sliced, case):
     assert fast.rho_x == sliced.rho_x, case
 
 
-def _check_aqs(w, x, zp, case, **kwargs):
+def _check_aqs(w, x, zp, case, calls, **kwargs):
+    """Fast == sliced; appends ``(plan, ux, ops, rho_x)`` to ``calls``."""
     fast_plan = prepare_aqs(w, zp, AqsGemmConfig(exec_path="fast", **kwargs))
     fast = execute_aqs(fast_plan, x)
     sliced = execute_aqs(prepare_aqs(
         w, zp, AqsGemmConfig(exec_path="sliced", **kwargs)), x)
     _assert_same(fast, sliced, case)
+    calls.append((fast_plan, fast.ux_mask, fast.ops, fast.rho_x))
     return fast_plan
+
+
+def _check_batched_ledger(calls):
+    """One batched fill over every call equals each call's own ledger."""
+    batched = aqs_ledgers([(plan, ux) for plan, ux, _, _ in calls])
+    for (_, _, ops, rho_x), (b_ops, b_rho_x) in zip(calls, batched):
+        assert b_ops == ops and b_rho_x == rho_x, (ops, b_ops)
 
 
 def check_exactness(m=48, k=96, n=24, seed=0):
@@ -103,14 +115,16 @@ def check_exactness(m=48, k=96, n=24, seed=0):
     Besides the ``n``-wide grid, every combination also runs at widths 1-3
     (not multiples of ``v``: the ragged mask tail decode hits), and one
     over-bound operand set (``K = 4096``, full-scale 10-bit weights) makes
-    the AQS plan take the float64 branch.
+    the AQS plan take the float64 branch.  Finally every AQS call's ledger
+    is filled again as one batch of mixed shapes and configs.
     """
+    calls = []
     for w_bits in W_BITS:
         for width in (n, *NARROW):
             for lo_bits in LO_BITS:
                 w, x, zp = _aqs_operands(m, k, width, w_bits=w_bits,
                                          seed=seed)
-                _check_aqs(w, x, zp, (w_bits, lo_bits, width),
+                _check_aqs(w, x, zp, (w_bits, lo_bits, width), calls,
                            w_bits=w_bits, lo_bits=lo_bits)
             for tracked in ("weight", "activation", "auto"):
                 w, x = _sbr_operands(m, k, width, w_bits=w_bits, seed=seed)
@@ -124,9 +138,10 @@ def check_exactness(m=48, k=96, n=24, seed=0):
     w[::3] = -512
     x = rng.integers(150, 256, (4096, 3))
     for lo_bits in LO_BITS:
-        plan = _check_aqs(w, x, 168, ("over-bound", lo_bits), w_bits=10,
-                          lo_bits=lo_bits)
+        plan = _check_aqs(w, x, 168, ("over-bound", lo_bits), calls,
+                          w_bits=10, lo_bits=lo_bits)
         assert plan.w_blas.dtype == np.float64, lo_bits
+    _check_batched_ledger(calls)
 
 
 def measure_shape(name, m, k, n, repeats=5):
@@ -209,6 +224,7 @@ if __name__ == "__main__":
               f"w_bits x lo_bits/tracked x width grid "
               f"({len(W_BITS) * len(LO_BITS) * widths} AQS + "
               f"{len(W_BITS) * 3 * widths} Sibia combinations) and "
-              f"{len(LO_BITS)} float64-gated AQS sets")
+              f"{len(LO_BITS)} float64-gated AQS sets; one batched ledger "
+              "fill of every AQS call == its per-call ledger")
         sys.exit(0)
     run(repeats=args.repeats)

@@ -122,32 +122,26 @@ def rle_index_bits_batch(masks: np.ndarray, index_bits: int = 4) -> np.ndarray:
     if masks.ndim != 2:
         raise ValueError(f"masks must be 1-D or 2-D, got shape {masks.shape}")
     n_rows, length = masks.shape
+    if not n_rows:
+        return np.zeros(0, dtype=np.int64)
     max_run = (1 << index_bits) - 1
-    flat = np.flatnonzero(masks)
-    rows = flat // length if length else np.empty(0, dtype=np.int64)
-    tokens = np.bincount(rows, minlength=n_rows).astype(np.int64)
-    # Trailing compressed run per stream: the whole stream when it has no
-    # payload, what follows the last payload otherwise.
-    trail = np.full(n_rows, length, dtype=np.int64)
-    if flat.size:
-        cols = flat - rows * length
-        # Gap of compressed vectors before each payload (absorbed by its
-        # token modulo max_run): distance to the previous payload in the same
-        # stream, or to the stream start.
-        starts = np.empty(flat.size, dtype=bool)
-        starts[0] = True
-        starts[1:] = rows[1:] != rows[:-1]
-        prev = np.empty_like(cols)
-        prev[1:] = cols[:-1]
-        prev[starts] = -1
-        gaps = cols - prev - 1
-        tokens += np.bincount(rows, weights=gaps // max_run,
-                              minlength=n_rows).astype(np.int64)
-        ends = np.empty(flat.size, dtype=bool)
-        ends[-1] = True
-        ends[:-1] = starts[1:]
-        trail[rows[ends]] = length - 1 - cols[ends]
-    # Continuation tokens inside the trailing run, plus one final token for a
-    # partial run that no payload absorbs.
-    tokens += trail // max_run + (trail % max_run != 0)
-    return tokens * index_bits
+    # One sentinel payload past the end of every stream: the flat index
+    # step from one payload to the next is then the compressed gap before
+    # it, also across stream boundaries, and a sentinel's gap is the
+    # trailing compressed run of its stream.
+    width = length + 1
+    padded = np.ones((n_rows, width), dtype=bool)
+    padded[:, :length] = masks
+    flat = padded.ravel().nonzero()[0]
+    gaps = np.empty_like(flat)
+    gaps[0] = flat[0]
+    np.subtract(flat[1:], flat[:-1], out=gaps[1:])
+    gaps[1:] -= 1
+    # A payload's token absorbs up to max_run preceding compressed vectors
+    # and continuation tokens carry the rest: 1 + gap // max_run tokens.  A
+    # trailing run of T needs ceil(T / max_run) tokens, none when T = 0.
+    gaps += max_run
+    gaps -= flat % width == length
+    gaps //= max_run
+    firsts = flat.searchsorted(np.arange(0, n_rows * width, width))
+    return np.add.reduceat(gaps, firsts) * index_bits

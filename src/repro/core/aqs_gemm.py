@@ -40,9 +40,13 @@ the numbers are produced:
 
 The op ledger is read off the compressibility masks alone, never off the
 matmuls: the activation mask ``ux`` comes from the HO plane
-``x_q >> ho_shift`` compared with ``r`` per ``v``-group, the weight-only
-terms are summed once into the plan, and the ledger runs only when
-``count_ops`` is on.  Both paths therefore report identical counts.
+``x_q >> ho_shift`` compared with ``r`` per ``v``-group, and the
+weight-only terms are summed once into the plan.  Both paths therefore
+report identical counts.  :func:`execute_aqs` returns ``ux`` with the
+ledger pending: ``ops`` and ``rho_x`` are filled on first read, and
+:class:`~repro.core.pipeline.ExecutionTrace` fills every layer call of a
+forward in one batch (:func:`aqs_ledgers`), so a served layer call pays for
+its GEMM and not for its bookkeeping.  The counts are the same either way.
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ from ..bitslice.vectors import (
     weight_vector_mask,
 )
 from ..gemm.dense import exact_blas_dtype, exact_matmul
-from ..gemm.workload import OpCounts, validate_exec_path
+from ..gemm.workload import DeferredLedger, OpCounts, validate_exec_path
 
 __all__ = ["AqsGemmConfig", "AqsGemmResult", "AqsLayerPlan", "aqs_gemm",
-           "prepare_aqs", "execute_aqs", "compensation_bias",
+           "prepare_aqs", "execute_aqs", "aqs_ledgers", "compensation_bias",
            "frequent_ho_slice"]
 
 
@@ -123,15 +127,22 @@ class AqsGemmConfig:
 
 @dataclass
 class AqsGemmResult:
-    """Output accumulators, op ledger and observed sparsities."""
+    """Output accumulators, op ledger and observed sparsities.
+
+    ``acc`` holds exact integers: in the plan's BLAS dtype on the fast
+    path, int64 on the sliced one.  :func:`execute_aqs` leaves ``ops`` and
+    ``rho_x`` pending on ``ledger_plan`` and ``ux_mask``; the first read
+    fills them (see :class:`~repro.gemm.workload.DeferredLedger`).
+    """
 
     acc: np.ndarray
-    ops: OpCounts
+    ops: OpCounts = DeferredLedger()
     rho_w: float
-    rho_x: float
+    rho_x: float = DeferredLedger()
     r: int
     uw_mask: np.ndarray | None = field(repr=False, default=None)
     ux_mask: np.ndarray | None = field(repr=False, default=None)
+    ledger_plan: "AqsLayerPlan | None" = field(repr=False, default=None)
 
 
 def frequent_ho_slice(zp: int, lo_bits: int = 4) -> int:
@@ -222,6 +233,11 @@ class AqsLayerPlan:
     def k(self) -> int:
         return self.w_q.shape[1]
 
+    def ledger(self, ux: np.ndarray) -> tuple[OpCounts, float]:
+        """``(ops, rho_x)`` of one call whose HO mask is ``ux``: the
+        per-call ledger, :func:`aqs_ledgers` on a batch of one."""
+        return aqs_ledgers([(self, ux)])[0]
+
     def state_dict(self) -> dict:
         """Serializable snapshot; derived mirrors and sums are rebuilt on load."""
         from dataclasses import asdict
@@ -290,8 +306,9 @@ def execute_aqs(plan: AqsLayerPlan, x_q: np.ndarray) -> AqsGemmResult:
     the sliced path reproduces the accumulation order of the hardware loop,
     and the fast path computes the same integer sum as one exact GEMM on the
     truncated codes (see the module docstring).  Codes outside ``x_bits``
-    raise ``ValueError`` on both paths.  The op ledger is mask-derived and
-    identical on both paths.
+    raise ``ValueError`` on both paths.  The op ledger is mask-derived,
+    identical on both paths, and computed on first read of ``ops`` or
+    ``rho_x``.
     """
     config = plan.config
     x_q = np.asarray(x_q, dtype=np.int64)
@@ -312,15 +329,9 @@ def execute_aqs(plan: AqsLayerPlan, x_q: np.ndarray) -> AqsGemmResult:
                                     compress_value=plan.r)
         acc = _execute_sliced(plan, x_stack, ux)
 
-    return AqsGemmResult(
-        acc=acc,
-        ops=_count_aqs_ops(plan, ux) if config.count_ops else OpCounts(),
-        rho_w=plan.rho_w,
-        rho_x=vector_sparsity(ux),
-        r=plan.r,
-        uw_mask=plan.uw,
-        ux_mask=ux,
-    )
+    return AqsGemmResult(acc=acc, ops=None, rho_w=plan.rho_w, rho_x=None,
+                         r=plan.r, uw_mask=plan.uw, ux_mask=ux,
+                         ledger_plan=plan)
 
 
 def _execute_sliced(plan: AqsLayerPlan, x_stack: SliceStack,
@@ -343,15 +354,17 @@ def _execute_sliced(plan: AqsLayerPlan, x_stack: SliceStack,
     acc = np.zeros((m, n), dtype=np.int64)
     for wi, w_plane in enumerate(plan.w_planes_f64):
         w_scale = plan.w_stack.weights[wi]
-        acc += (w_scale * x_stack.ho_weight) * exact_matmul(w_plane, x_ho_u)
+        acc += (w_scale * x_stack.ho_weight) * exact_matmul(
+            w_plane, x_ho_u).astype(np.int64)
         for xi in range(x_stack.n_slices - 1):
             acc += (w_scale * x_stack.weights[xi]) * exact_matmul(
-                w_plane, x_lo_f[xi])
+                w_plane, x_lo_f[xi]).astype(np.int64)
 
     # --- compensation (Eq. 6): reuse loaded weight slices -----------------
     # -r*(W_HO+W_LO) J^U + b'   with   b' = (W_HO+W_LO)(r * 1)
     acc += (compensation_bias(plan.w_q, r, ho_shift, n)
-            - (r << ho_shift) * exact_matmul(plan.w_blas, ux_e))
+            - (r << ho_shift) * exact_matmul(plan.w_blas,
+                                             ux_e).astype(np.int64))
     return acc
 
 
@@ -376,8 +389,50 @@ def aqs_gemm(
     return execute_aqs(prepare_aqs(w_q, zp, config), x_q)
 
 
-def _count_aqs_ops(plan: AqsLayerPlan, ux: np.ndarray) -> OpCounts:
-    """The measured-op ledger, read off the compressibility masks.
+def aqs_ledgers(calls) -> list[tuple[OpCounts, float]]:
+    """``(ops, rho_x)`` for many calls, each given as ``(plan, ux)``.
+
+    Calls whose HO masks share a shape ``(K, ceil(N/v))`` (and an RLE index
+    width) are reduced together: one stack of their masks yields every
+    call's mask sums, its ``uw_col @ ux_row`` coupling and, through one
+    :func:`~repro.bitslice.rle.rle_index_bits_batch` over all their
+    activation streams, its RLE budget.  What remains per call is plain
+    int arithmetic (:func:`_aqs_ops`).  Plans with ``count_ops`` off get
+    an empty ledger and only ``rho_x``.
+    """
+    calls = list(calls)
+    out: list = [None] * len(calls)
+    groups: dict[tuple, list[int]] = {}
+    for i, (plan, ux) in enumerate(calls):
+        config = plan.config
+        key = (ux.shape, config.count_ops and config.index_bits)
+        groups.setdefault(key, []).append(i)
+    for ((k, ng), index_bits), idx in groups.items():
+        ux = np.array([calls[i][1] for i in idx])          # (G, K, ng)
+        ux_row = ux.sum(axis=2, dtype=np.int64)            # (G, K)
+        sum_ux = ux_row.sum(axis=1).tolist()
+        size = k * ng
+        rho_x = [1.0 - s_ux / size if size else 0.0 for s_ux in sum_ux]
+        if not index_bits:                                 # count_ops off
+            for i, rho in zip(idx, rho_x):
+                out[i] = (OpCounts(), rho)
+            continue
+        plans = [calls[i][0] for i in idx]
+        hoho = np.einsum("gk,gk->g", np.array([p.uw_col for p in plans]),
+                         ux_row).tolist()
+        # Activation streams run along K, one per mask column.
+        streams = ux.transpose(0, 2, 1).reshape(len(idx) * ng, k)
+        rle = rle_index_bits_batch(streams, index_bits).reshape(
+            len(idx), ng).sum(axis=1).tolist()
+        for i, plan, s_ux, hh, r_bits, rho in zip(idx, plans, sum_ux, hoho,
+                                                  rle, rho_x):
+            out[i] = (_aqs_ops(plan, k, ng, s_ux, hh, r_bits), rho)
+    return out
+
+
+def _aqs_ops(plan: AqsLayerPlan, k: int, ng: int, sum_ux: int, hoho: int,
+             act_rle_bits: int) -> OpCounts:
+    """The measured-op ledger, from the activation mask's reductions.
 
     Counting is done at outer-product granularity: each executed product is
     ``v*v`` multiplies plus ``v*v`` accumulator additions.  The Eq. 6
@@ -385,17 +440,16 @@ def _count_aqs_ops(plan: AqsLayerPlan, ux: np.ndarray) -> OpCounts:
     ``v * n_w_planes`` weight-slice accumulations per uncompressed
     activation vector.  Every weight-only term (``uw_col``, ``sum_uw`` and
     the weight-side RLE budget ``w_rle_bits``) was summed once by the plan;
-    per call only the activation mask ``ux`` is reduced.
+    per call the activation mask ``ux`` (``(k, ng)``) contributes only its
+    payload count ``sum_ux``, its coupling ``hoho = uw_col @ ux_row`` and
+    its RLE budget.
     """
-    config = plan.config
-    v = config.v
-    (mg, k), ng = plan.uw.shape, ux.shape[1]
+    v = plan.config.v
+    mg = plan.uw.shape[0]
     nw = plan.w_stack.n_slices
-    nx = config.n_x_slices
+    nx = plan.config.n_x_slices
     unit = v * v
-    ux_row = ux.sum(axis=1, dtype=np.int64)
     sum_uw = plan.sum_uw
-    sum_ux = int(ux_row.sum())
     if nw == 1:
         # 4-bit weights have a single slice and no HO plane to skip (paper
         # Fig. 19); the lone plane behaves like a dense LO plane.
@@ -403,42 +457,37 @@ def _count_aqs_ops(plan: AqsLayerPlan, ux: np.ndarray) -> OpCounts:
         loho = mg * sum_ux
         holo = 0
         lolo = (nx - 1) * mg * k * ng
+        w_ema = mg * k                      # dense single weight plane
     else:
         # HO(w) x HO(x): both vectors must be uncompressed, joint per-k
-        # coupling.
-        hoho = int(plan.uw_col @ ux_row)
-        # lower W planes x HO(x): runs wherever the activation vector
-        # survives.
+        # coupling (``hoho``).  Lower W planes x HO(x): runs wherever the
+        # activation vector survives.
         loho = (nw - 1) * mg * sum_ux
         # HO(w) x LO(x): runs wherever the weight vector survives.
         holo = (nx - 1) * ng * sum_uw
         # lower x lower: fully dense (the SWO workload).
         lolo = (nw - 1) * (nx - 1) * mg * k * ng
-    gemm_products = hoho + loho + holo + lolo
-    ops = OpCounts()
-    ops.mul4 = unit * gemm_products
-    ops.add = unit * gemm_products
-    ops.notes["dynamic_products"] = hoho + loho + holo
-    ops.notes["static_products"] = lolo
-
+        w_ema = sum_uw + (nw - 1) * mg * k
+    gemm = unit * (hoho + loho + holo + lolo)
     # Compensation: one outer product per (mg, ng) output tile; weight-slice
     # accumulation for every uncompressed activation vector.
-    ops.comp_mul4 = unit * mg * ng
-    ops.comp_add = v * nw * mg * sum_ux
-    ops.mul4 += ops.comp_mul4
-    ops.add += ops.comp_add
-    # The naive Eq. 5 compensation would instead reload weights for the
-    # *compressed* vectors; Table I prices it at 8K*rho_x adds + EMA.
-    ops.notes["naive_comp_add"] = v * nw * mg * (ux.size - sum_ux)
-
-    # EMA: payload HO vectors + dense lower planes, in nibbles; RLE indices
-    # accounted separately.
-    if nw == 1:
-        ops.ema_nibbles = v * mg * k          # dense single weight plane
-    else:
-        ops.ema_nibbles = v * (sum_uw + (nw - 1) * mg * k)
-    ops.ema_nibbles += v * (sum_ux + (nx - 1) * k * ng)
-    # Activation streams run along K, one per mask column; sized as a batch.
-    ops.rle_index_bits = plan.w_rle_bits + int(
-        rle_index_bits_batch(ux.T, config.index_bits).sum())
-    return ops
+    comp_mul4 = unit * mg * ng
+    comp_add = v * nw * mg * sum_ux
+    return OpCounts(
+        mul4=gemm + comp_mul4,
+        add=gemm + comp_add,
+        # EMA: payload HO vectors + dense lower planes, in nibbles; RLE
+        # indices accounted separately.
+        ema_nibbles=v * (w_ema + sum_ux + (nx - 1) * k * ng),
+        rle_index_bits=plan.w_rle_bits + act_rle_bits,
+        comp_mul4=comp_mul4,
+        comp_add=comp_add,
+        notes={
+            "dynamic_products": hoho + loho + holo,
+            "static_products": lolo,
+            # The naive Eq. 5 compensation would instead reload weights for
+            # the *compressed* vectors; Table I prices it at 8K*rho_x adds
+            # + EMA.
+            "naive_comp_add": v * nw * mg * (k * ng - sum_ux),
+        },
+    )

@@ -25,16 +25,18 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from ..engine.base import EngineConfig, get_engine
-from ..gemm.dense import fold_bias
+from ..gemm.dense import exact_bias_f64, fold_bias
 from ..nn.layers import Conv2d, Linear, im2col
 from ..nn.module import Module
 from ..quant.observers import HistogramObserver, make_observer
 from ..quant.uniform import QuantParams, quantize, symmetric_params
 from ..gemm.workload import OpCounts, validate_exec_path
+from .aqs_gemm import aqs_ledgers
 from .dbs import DbsDecision, DbsType, dbs_calibrate
 from .zpm import manipulate_zero_point
 
@@ -146,25 +148,34 @@ class LayerQuantRecord:
 
 @dataclass
 class LayerExecution:
-    """One observed layer execution: shape, sparsity and op counts."""
+    """One observed layer execution: shape, sparsity and op counts.
+
+    An AQS layer call hands its engine's pending ledger on unread:
+    ``ops`` and ``rho_x`` are ``None`` and ``ledger_plan`` and ``ux_mask``
+    are set.  :class:`ExecutionTrace` fills the record when the capture
+    that collected it closes, or at once when it is added outside a
+    capture, so only code inside an open capture can see it pending.
+    """
 
     name: str
     m: int
     k: int
     n: int
     rho_w: float
-    rho_x: float
-    ops: OpCounts
+    rho_x: float | None
+    ops: OpCounts | None
     scheme: str
     w_bits: int
     x_bits: int
     lo_bits: int = 4
     #: Wall-clock seconds of this layer call (quantize + execute +
     #: dequantize), measured by the quantized layer itself so the serving
-    #: records and the profiler share one measurement path.
+    #: records and the profiler share one measurement path.  The ledger is
+    #: filled outside it.
     latency_s: float = 0.0
     uw_mask: np.ndarray | None = field(default=None, repr=False)
     ux_mask: np.ndarray | None = field(default=None, repr=False)
+    ledger_plan: Any = field(default=None, repr=False)
 
 
 class ExecutionTrace:
@@ -179,6 +190,11 @@ class ExecutionTrace:
     this way, so a serving session's ``records`` stays empty, and several
     threads can execute the same layer modules concurrently without
     interleaving their records.
+
+    Pending AQS ledgers are filled in one batch when a capture closes
+    (:func:`~repro.core.aqs_gemm.aqs_ledgers`), and at once for a record
+    added outside a capture; either way every record a caller sees carries
+    its ``ops`` and ``rho_x``.
     """
 
     def __init__(self, keep_masks: bool = False) -> None:
@@ -187,13 +203,11 @@ class ExecutionTrace:
         self._capture = threading.local()
 
     def add(self, record: LayerExecution) -> None:
-        if not self.keep_masks:
-            record.uw_mask = None
-            record.ux_mask = None
         sink = getattr(self._capture, "sink", None)
         if sink is not None:
             sink.append(record)
         else:
+            self._fill([record])
             self.records.append(record)
 
     @contextmanager
@@ -201,9 +215,10 @@ class ExecutionTrace:
         """Redirect this thread's ``add`` calls into a local list.
 
         Yields the list; on exit the previous sink (captures nest) is
-        restored.  Records captured here are *not* in :attr:`records` — the
-        caller decides what to do with them (e.g. fold them into a
-        session's lifetime counters with
+        restored and the captured records' pending ledgers are filled.
+        Records captured here are *not* in :attr:`records` — the caller
+        decides what to do with them (e.g. fold them into a session's
+        lifetime counters with
         :meth:`~repro.engine.session.PanaceaSession.record_external`).
         """
         outer = getattr(self._capture, "sink", None)
@@ -213,6 +228,22 @@ class ExecutionTrace:
             yield sink
         finally:
             self._capture.sink = outer
+        self._fill(sink)
+
+    def _fill(self, records: list[LayerExecution]) -> None:
+        """Fill the pending ledgers of ``records`` in one batch, then drop
+        the masks unless ``keep_masks``."""
+        pending = [rec for rec in records if rec.ledger_plan is not None]
+        if pending:
+            ledgers = aqs_ledgers([(rec.ledger_plan, rec.ux_mask)
+                                   for rec in pending])
+            for rec, (ops, rho_x) in zip(pending, ledgers):
+                rec.ops, rec.rho_x = ops, rho_x
+                rec.ledger_plan = None
+        if not self.keep_masks:
+            for rec in records:
+                rec.uw_mask = None
+                rec.ux_mask = None
 
     def clear(self) -> None:
         self.records.clear()
@@ -293,6 +324,11 @@ class _QuantizedGemmBase(Module):
             correction = np.rint(
                 mean_deficit * record.w_q.sum(axis=1)).astype(np.int64)
             self._b_hat = self._b_hat + correction
+        # Every engine's codes fit |x| < 2^x_bits, so when the bias add is
+        # proven exact in float64 the accumulator is dequantized without an
+        # int64 round trip.
+        self._b_hat_f64 = exact_bias_f64(record.w_q, (1 << record.x_bits) - 1,
+                                         self._b_hat)
 
     def _gemm(self, x2d: np.ndarray) -> np.ndarray:
         """Quantize ``(K, N)`` float activations, execute the plan, dequantize."""
@@ -300,17 +336,26 @@ class _QuantizedGemmBase(Module):
         t0 = time.perf_counter()
         x_q = quantize(x2d, record.x_params)
         result = self.engine.execute(self.plan, x_q)
-        acc = result.acc + self._b_hat[:, None]
-        out = acc.astype(np.float64) * self._scale
+        if self._b_hat_f64 is not None:
+            out = np.add(result.acc, self._b_hat_f64, dtype=np.float64)
+        else:
+            out = (result.acc.astype(np.int64)
+                   + self._b_hat[:, None]).astype(np.float64)
+        out *= self._scale
         if self.trace is not None:
             m, k = record.w_q.shape
+            # A pending ledger is handed on unread; the trace fills it.
+            pending = result.ledger_plan is not None
             self.trace.add(LayerExecution(
                 name=self.name, m=m, k=k, n=x2d.shape[1],
-                rho_w=result.rho_w, rho_x=result.rho_x, ops=result.ops,
+                rho_w=result.rho_w,
+                rho_x=None if pending else result.rho_x,
+                ops=None if pending else result.ops,
                 scheme=self.scheme, w_bits=record.w_bits,
                 x_bits=record.x_bits, lo_bits=record.lo_bits,
                 latency_s=time.perf_counter() - t0,
                 uw_mask=result.uw_mask, ux_mask=result.ux_mask,
+                ledger_plan=result.ledger_plan,
             ))
         return out
 

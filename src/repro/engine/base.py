@@ -28,7 +28,7 @@ from typing import Any, ClassVar, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..gemm.workload import OpCounts, validate_exec_path
+from ..gemm.workload import DeferredLedger, OpCounts, validate_exec_path
 
 __all__ = [
     "EngineConfig",
@@ -72,22 +72,31 @@ class EngineConfig:
 class GemmResult:
     """Uniform per-request result every engine's ``execute`` returns.
 
-    ``acc`` excludes the Eq. 3 zero-point bias fold (the caller applies
-    ``b_hat``); ``r`` is the compressible activation HO slice (AQS only) and
-    ``tracked`` the exploited side (Sibia only).  ``latency_s`` is the
-    wall-clock time of the kernel call — the one measurement path the
-    serving scheduler and the benchmarks both read.
+    ``acc`` holds exact integers in the kernel's BLAS dtype and excludes the
+    Eq. 3 zero-point bias fold (the caller applies ``b_hat``); ``r`` is the
+    compressible activation HO slice (AQS only) and ``tracked`` the
+    exploited side (Sibia only).  ``latency_s`` is the wall-clock time of
+    the kernel call — the one measurement path the serving scheduler and
+    the benchmarks both read; it excludes a pending ledger.
+
+    The AQS engine returns its ledger pending: ``ops`` and ``rho_x`` are
+    ``None`` underneath, ``ledger_plan`` holds the plan, and the first read
+    of either fills both from ``ux_mask`` (see
+    :class:`~repro.gemm.workload.DeferredLedger`).  Quantized layers hand
+    the pending ledger on to their :class:`~repro.core.pipeline.LayerExecution`
+    unread, so a forward's ledgers are filled in one batch.
     """
 
     acc: np.ndarray
-    ops: OpCounts
+    ops: OpCounts = DeferredLedger()
     rho_w: float = 0.0
-    rho_x: float = 0.0
+    rho_x: float = DeferredLedger(0.0)
     r: int = 0
     tracked: str | None = None
     latency_s: float = 0.0
     uw_mask: np.ndarray | None = field(default=None, repr=False)
     ux_mask: np.ndarray | None = field(default=None, repr=False)
+    ledger_plan: Any = field(default=None, repr=False)
 
 
 @runtime_checkable

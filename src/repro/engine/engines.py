@@ -163,7 +163,9 @@ class AqsEngine(Engine):
         x_q = _validated(x_q, plan.k, plan.w_q.shape, np.int64)
         t0 = time.perf_counter()
         res = execute_aqs(plan, x_q)
-        return GemmResult(acc=res.acc, ops=res.ops, rho_w=res.rho_w,
-                          rho_x=res.rho_x, r=res.r,
+        # The kernel's ledger stays pending on the engine result.
+        return GemmResult(acc=res.acc, ops=None, rho_w=res.rho_w,
+                          rho_x=None, r=res.r,
                           latency_s=time.perf_counter() - t0,
-                          uw_mask=res.uw_mask, ux_mask=res.ux_mask)
+                          uw_mask=res.uw_mask, ux_mask=res.ux_mask,
+                          ledger_plan=res.ledger_plan)

@@ -39,6 +39,8 @@ session are correct but execute one forward at a time.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -54,6 +56,35 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a core<->engine cycle
 
 __all__ = ["PanaceaSession", "DecodeSession", "RequestRecord",
            "LayerProfile", "ProfileReport", "ServiceModel"]
+
+
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_heap_kept = False
+
+
+def keep_heap_mapped() -> None:
+    """Keep freed MB-sized temporaries in the heap for reuse, process-wide.
+
+    glibc serves blocks above its mmap threshold from fresh mappings and
+    hands freed heap tops above its trim threshold back to the OS, so each
+    forward re-faults the same numpy temporaries page by page.  Raising
+    the thresholds to 32 MiB and 64 MiB (through ``mallopt``) keeps them
+    mapped.  The setting holds for the whole process and every thread; the
+    first call makes it, later calls return at once.  A no-op off glibc.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 @dataclass(frozen=True)
@@ -232,6 +263,7 @@ class PanaceaSession:
                  auto_calibrate: bool = False) -> None:
         from ..core.pipeline import ExecutionTrace, PtqConfig, PtqPipeline
 
+        keep_heap_mapped()
         self.config = config or PtqConfig()
         self.model = model
         self.pipeline = PtqPipeline(model, self.config)
@@ -390,11 +422,6 @@ class PanaceaSession:
         return self.serve_coalesced(batches, pad_axis=pad_axis,
                                     pad_value=pad_value)[0]
 
-    #: The batcher may pass per-request tracing spans via ``traces=``.
-    #: Spans gain request attribution attributes only — the fused path
-    #: opens no child spans.
-    accepts_traces = True
-
     def serve_coalesced(self, batches: Sequence[np.ndarray], *,
                         pad_axis: int | None = None, pad_value=0,
                         traces: Sequence | None = None,
@@ -407,6 +434,10 @@ class PanaceaSession:
         between this group's execution and its record attribution.  The
         returned records are the only copy: the session keeps just the
         lifetime counters they were folded into.
+
+        ``traces`` holds one tracing span (or ``None``) per request; each
+        span gains request attribution attributes only — the fused path
+        opens no child spans.
         """
         batches = [np.asarray(b) for b in batches]
         if not batches:

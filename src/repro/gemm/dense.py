@@ -18,11 +18,18 @@ from .workload import OpCounts
 
 __all__ = ["DenseGemmResult", "Int8DensePlan", "integer_gemm",
            "dense_gemm_reference", "fold_bias", "prepare_int8_dense",
-           "execute_int8_dense", "exact_blas_dtype", "exact_matmul"]
+           "execute_int8_dense", "exact_blas_dtype", "exact_matmul",
+           "exact_bias_f64"]
 
 #: Each BLAS dtype with the magnitude below which it holds every integer
 #: exactly (its significand width), narrowest first.
 _EXACT_LIMITS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+
+
+def _acc_bound(w_q: np.ndarray, x_max: int) -> int:
+    """Bound on every partial sum of ``w_q @ x`` over ``|x| <= x_max``."""
+    w_q = np.asarray(w_q, dtype=np.int64)
+    return int(np.abs(w_q).sum(axis=1).max(initial=0)) * int(x_max)
 
 
 def exact_blas_dtype(w_q: np.ndarray, x_max: int) -> np.dtype:
@@ -35,21 +42,39 @@ def exact_blas_dtype(w_q: np.ndarray, x_max: int) -> np.dtype:
     uses, so the float GEMM equals the integer one bit for bit.  Past
     float64's range the plain int64 matmul is returned.
     """
-    w_q = np.asarray(w_q, dtype=np.int64)
-    bound = int(np.abs(w_q).sum(axis=1).max(initial=0)) * int(x_max)
+    bound = _acc_bound(w_q, x_max)
     for dtype, limit in _EXACT_LIMITS:
         if bound < limit:
             return np.dtype(dtype)
     return np.dtype(np.int64)
 
 
+def exact_bias_f64(w_q: np.ndarray, x_max: int,
+                   b_hat: np.ndarray) -> np.ndarray | None:
+    """``b_hat`` as a float64 ``(M, 1)`` column, if adding it in float64 is
+    exact; ``None`` otherwise.
+
+    While ``max|w_q @ x| + max|b_hat| < 2^53`` for every ``|x| <= x_max``,
+    the accumulator, the bias and their sum are all integers float64 holds
+    exactly, so ``np.add(acc, column, dtype=np.float64)`` equals the int64
+    add cast to float64 bit for bit, whatever dtype :func:`exact_matmul`
+    returned ``acc`` in.
+    """
+    b_hat = np.asarray(b_hat, dtype=np.int64)
+    bound = _acc_bound(w_q, x_max) + int(np.abs(b_hat).max(initial=0))
+    if bound >= _EXACT_LIMITS[-1][1]:
+        return None
+    return b_hat.astype(np.float64)[:, None]
+
+
 def exact_matmul(w_blas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w_blas @ x`` in ``w_blas``'s dtype, returned as int64.
+    """``w_blas @ x`` in ``w_blas``'s dtype.
 
     ``w_blas`` is a weight mirror cast to :func:`exact_blas_dtype`, so for
-    activations within the bound it was sized for the result is exact.
+    activations within the bound it was sized for every entry of the
+    result is an exact integer (float32, float64 or int64).
     """
-    return (w_blas @ x.astype(w_blas.dtype, copy=False)).astype(np.int64)
+    return w_blas @ x.astype(w_blas.dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
             for xi, x_plane in enumerate(x_planes_f64):
                 x_eff = x_plane * ux_e if (tracked == "activation" and xi == nx - 1) else x_plane
                 scale = w_stack.weights[wi] * x_stack.weights[xi]
-                acc += scale * exact_matmul(w_eff, x_eff)
+                acc += scale * exact_matmul(w_eff, x_eff).astype(np.int64)
 
     ops = (_count_sibia_ops(plan, ux, tracked, n, nx) if plan.count_ops
            else OpCounts())

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "OpCounts",
+    "DeferredLedger",
     "EXEC_PATHS",
     "validate_exec_path",
     "table1_sibia",
@@ -87,6 +88,41 @@ class OpCounts:
     def macs(self) -> int:
         """Multiply-accumulate pairs (min of mults and adds)."""
         return min(self.mul4, self.add)
+
+
+class DeferredLedger:
+    """Dataclass field descriptor for a result's ``ops`` and ``rho_x``.
+
+    A result whose ledger is pending stores ``None`` in both fields, its
+    layer plan in ``ledger_plan`` and its activation HO mask in
+    ``ux_mask``.  The first read of either field fills both from
+    ``ledger_plan.ledger(ux_mask)`` and clears ``ledger_plan``, so
+    ``ledger_plan is not None`` means exactly "still pending".  The
+    dataclass reads a field's default off the class: without ``default``
+    the descriptor raises ``AttributeError`` there, so the field stays
+    required.
+    """
+
+    _REQUIRED = object()
+
+    def __init__(self, default=_REQUIRED) -> None:
+        self._default = default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            if self._default is self._REQUIRED:
+                raise AttributeError(self._slot)
+            return self._default
+        if obj.ledger_plan is not None:
+            obj.ops, obj.rho_x = obj.ledger_plan.ledger(obj.ux_mask)
+            obj.ledger_plan = None
+        return obj.__dict__[self._slot]
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self._slot] = value
 
 
 @dataclass(frozen=True)

@@ -473,7 +473,6 @@ class MicroBatcher:
             engine_spans = None
             t0 = self.clock()
             try:
-                kwargs = {}
                 if traced:
                     serve_t0 = time.perf_counter()
                     for span in release_spans:
@@ -482,11 +481,9 @@ class MicroBatcher:
                     engine_spans = [
                         t.trace.span("engine_execute", start_s=serve_t0)
                         if t.trace is not None else None for t in tickets]
-                    if getattr(self.session, "accepts_traces", False):
-                        kwargs["traces"] = engine_spans
                 outputs, records = self.session.serve_coalesced(
                     payloads, pad_axis=self.policy.pad_axis,
-                    pad_value=self.policy.pad_value, **kwargs)
+                    pad_value=self.policy.pad_value, traces=engine_spans)
             except Exception as exc:
                 # The group is already off the queue; fail every rider
                 # rather than strand valid tickets (or retry a poison batch

@@ -19,23 +19,10 @@ wait) — it measures whether the workers have work, not whether the engines
 overlap.  For engine-level overlap, compare the sum of per-deployment
 ``session.stats()['exec_s']`` against wall time.
 
-**Nested submission.**  A task may itself submit downstream work to the
-same pool and wait on it (a ``run_all`` inside a ``run_all``).  A naive
-fixed pool deadlocks here
-(every worker blocked waiting on queued tasks no worker is free to run), so
-:meth:`wait` and :meth:`run_all` detect that they are on a pool worker and
-*help*: they drain queued tasks inline while waiting.
-
-Helping is **group-scoped**: the waiter only executes tasks submitted under
-its own group tag (:meth:`submit_grouped`) and re-queues anything else.
-Unscoped helping is a deadlock of its own — a serving worker waiting on
-its nested tasks must not be handed another serve task that blocks on the
-very service lock the waiter holds.  Its *own* nested tasks are safe by
-construction: the waiter submitted them, so they cannot need a lock it
-already took.  Helped tasks run inside the waiting task's already-ticking
-busy window, so they count toward ``n_tasks`` (and the pool-level
-``n_helped``) but add **no** ``busy_s`` — nested work must not report
-more busy seconds than wall time exists.
+**Nested submission.**  A task may submit work to its own pool and wait on
+it, but :meth:`wait` is a plain block: the nested work needs a free worker,
+so a task that waits on the pool must leave one (a fixed pool whose every
+worker waits on queued tasks deadlocks).
 """
 
 from __future__ import annotations
@@ -86,10 +73,9 @@ class ExecutorBackend(Protocol):
     so a new backend only has to declare what it can do.
 
     ``crosses_process=False`` means tasks share the caller's address space
-    — closures and live objects are fine, and nested submission is safe
-    through group-scoped helping.  ``crosses_process=True`` means payloads
-    cross a process boundary: tasks must be picklable and model state
-    travels by plan store.
+    — closures and live objects are fine.  ``crosses_process=True`` means
+    payloads cross a process boundary: tasks must be picklable and model
+    state travels by plan store.
     """
 
     #: Capability flag: do this backend's tasks execute in another process?
@@ -102,7 +88,7 @@ class ExecutorBackend(Protocol):
 
     def run_all(self, thunks) -> list: ...
 
-    def wait(self, futures, *, help_group=None) -> None: ...
+    def wait(self, futures) -> None: ...
 
     def stats(self) -> dict: ...
 
@@ -152,8 +138,8 @@ class WorkerPool:
     the workers; the pool is a context manager for scoped use.
     """
 
-    #: ExecutorBackend capability: tasks run in this process — closures,
-    #: live sessions and nested helping all work.
+    #: ExecutorBackend capability: tasks run in this process — closures
+    #: and live sessions work.
     crosses_process = False
 
     def __init__(self, workers: int, *, clock=time.perf_counter,
@@ -164,8 +150,6 @@ class WorkerPool:
         self._tasks: queue.Queue = queue.Queue()
         self._shutdown = False
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._n_helped = 0
         now = self.clock()
         self._worker_stats = [WorkerStats(worker_id=i, started_t=now)
                               for i in range(workers)]
@@ -180,40 +164,28 @@ class WorkerPool:
     # -- task intake ----------------------------------------------------------
     def submit(self, fn, /, *args, **kwargs) -> Future:
         """Schedule ``fn(*args, **kwargs)``; returns its future."""
-        return self._submit(None, None, fn, args, kwargs)
-
-    def submit_grouped(self, group, fn, /, *args, **kwargs) -> Future:
-        """Schedule a task under a help group (see :meth:`wait`).
-
-        ``group`` is any token identifying a nested work set — typically a
-        fresh ``object()`` per logical drain.  A :meth:`wait` with the same
-        group may execute this task inline on the waiting worker; every
-        other waiter leaves it to the worker loop.
-        """
-        return self._submit(group, None, fn, args, kwargs)
+        return self._submit(None, fn, args, kwargs)
 
     def submit_traced(self, span, fn, /, *args, **kwargs) -> Future:
         """:meth:`submit` that annotates ``span`` with pool-side facts.
 
         When the task starts, the span (any open span of the request's
         trace — typically the root) gains ``pool_queue_wait_s`` (time
-        spent queued behind other deployments' drains), ``pool_worker``
-        and ``pool_helped``.  Attributes only: the pool adds no spans of
+        spent queued behind other deployments' drains) and
+        ``pool_worker``.  Attributes only: the pool adds no spans of
         its own, so the trace's span count stays identical whether a
         request was drained by a pool worker or served inline.
         """
-        return self._submit(None, span, fn, args, kwargs)
+        return self._submit(span, fn, args, kwargs)
 
-    def _submit(self, group, span, fn, args, kwargs) -> Future:
+    def _submit(self, span, fn, args, kwargs) -> Future:
         with self._lock:
             if self._shutdown:
                 raise PoolShutdownError(
                     "cannot submit to a shut-down WorkerPool")
             future: Future = Future()
             traced = (span, self.clock()) if span is not None else None
-            # Group stays the tuple's last slot: the helping scan keys on
-            # ``task[-1]``.
-            self._tasks.put((future, fn, args, kwargs, traced, group))
+            self._tasks.put((future, fn, args, kwargs, traced))
         return future
 
     def run_all(self, thunks) -> list:
@@ -222,14 +194,10 @@ class WorkerPool:
         Every thunk is queued before any result is awaited, so ``workers``
         of them execute at once.  The first exception propagates after all
         thunks finished or failed (no thunk is silently abandoned
-        mid-flight).  Safe to call from a pool worker: the thunks are
-        tagged as one help group and the waiting worker executes them
-        inline (see :meth:`wait`), so nested ``run_all`` never deadlocks
-        the fixed pool.
+        mid-flight).
         """
-        group = object()
-        futures = [self.submit_grouped(group, thunk) for thunk in thunks]
-        self.wait(futures, help_group=group)
+        futures = [self.submit(thunk) for thunk in thunks]
+        self.wait(futures)
         results, first_error = [], None
         for future in futures:
             try:
@@ -242,77 +210,27 @@ class WorkerPool:
             raise first_error
         return results
 
-    def wait(self, futures, *, help_group=None) -> None:
-        """Block until every future is done, helping if on a pool worker.
+    def wait(self, futures) -> None:
+        """Block until every future is done.
 
-        From a non-worker thread this is a plain wait.  From a pool worker
-        with a ``help_group``, queued tasks of that group execute inline
-        while any future is pending — the fix that makes nested submission
-        (a task waiting on tasks it submitted) safe on a fixed pool.
-        Helping is restricted to the waiter's own group because a foreign
-        task may block on a lock the waiting task holds (a serve task of
-        the deployment whose service lock the waiter took — the classic
-        inversion); tasks the waiter submitted itself cannot.  Does not
-        raise; collect results/exceptions from the futures afterwards.
+        Does not raise; collect results/exceptions from the futures
+        afterwards.
         """
-        futures = list(futures)
-        if help_group is not None \
-                and getattr(self._local, "worker_id", None) is not None:
-            self._help_while_pending(futures, help_group)
-        futures_wait(futures)
-
-    def _help_while_pending(self, futures, help_group) -> None:
-        """Run same-group queued tasks until the futures resolve.
-
-        Helped tasks execute inside this worker's current busy window, so
-        they are accounted with ``helped=True`` — counted, not re-timed.
-        Foreign-group tasks are re-queued untouched (another worker — or
-        their own group's waiter — runs them); after re-queueing, and when
-        the queue runs dry while futures are still mid-flight on other
-        workers, the loop falls back to short timed waits so it never
-        spins hot.  A popped shutdown sentinel is put back and helping
-        stops — the remaining futures resolve as the workers drain.
-        """
-        empty = object()
-        while not all(f.done() for f in futures):
-            try:
-                task = self._tasks.get_nowait()
-            except queue.Empty:
-                task = empty
-            if task is empty or task is None or task[-1] is not help_group:
-                if task is not empty:
-                    # Foreign task or shutdown sentinel: not ours to run
-                    # (or eat) — put it back for the worker loop.
-                    self._tasks.put(task)
-                    self._tasks.task_done()
-                pending = [f for f in futures if not f.done()]
-                if pending:
-                    futures_wait(pending, timeout=0.001)
-                continue
-            self._run_task(task, helped=True)
+        futures_wait(list(futures))
 
     # -- worker side ----------------------------------------------------------
     def _worker_loop(self, worker_id: int) -> None:
-        self._local.worker_id = worker_id
         while True:
             task = self._tasks.get()
             if task is None:          # shutdown sentinel
                 self._tasks.task_done()
                 return
-            self._run_task(task, helped=False)
+            self._run_task(worker_id, task)
 
-    def _run_task(self, task, *, helped: bool) -> None:
-        """Execute one queued task and resolve its future.
-
-        ``helped=False`` is the worker-loop path: the task's wall time lands
-        in the worker's ``busy_s``.  ``helped=True`` is the nested path — a
-        worker executing a queued task *inside another task's* busy window
-        (see :meth:`wait`): the task still runs and counts, but its time is
-        already covered by the outer window, so ``busy_s`` is untouched
-        (double-counting would report utilization above wall time).
-        """
-        stats = self._worker_stats[self._local.worker_id]
-        future, fn, args, kwargs, traced, _group = task
+    def _run_task(self, worker_id: int, task) -> None:
+        """Execute one queued task, resolve its future, account its time."""
+        stats = self._worker_stats[worker_id]
+        future, fn, args, kwargs, traced = task
         if not future.set_running_or_notify_cancel():
             self._tasks.task_done()
             return
@@ -320,11 +238,9 @@ class WorkerPool:
         if traced is not None:
             span, t_submit = traced
             span.attrs["pool_queue_wait_s"] = max(0.0, t0 - t_submit)
-            span.attrs["pool_worker"] = self._local.worker_id
-            span.attrs["pool_helped"] = helped
-        if not helped:
-            with self._lock:
-                stats.busy_since = t0
+            span.attrs["pool_worker"] = worker_id
+        with self._lock:
+            stats.busy_since = t0
         try:
             result = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 — future carries it
@@ -335,11 +251,8 @@ class WorkerPool:
             elapsed = self.clock() - t0
             with self._lock:
                 stats.n_tasks += 1
-                if helped:
-                    self._n_helped += 1
-                else:
-                    stats.busy_s += elapsed
-                    stats.busy_since = None
+                stats.busy_s += elapsed
+                stats.busy_since = None
             self._tasks.task_done()
 
     # -- lifecycle ------------------------------------------------------------
@@ -379,13 +292,11 @@ class WorkerPool:
         now = self.clock()
         with self._lock:
             per_worker = [w.summary(now) for w in self._worker_stats]
-            n_helped = self._n_helped
         n_tasks = sum(w["n_tasks"] for w in per_worker)
         busy_s = sum(w["busy_s"] for w in per_worker)
         return {
             "workers": self.workers,
             "n_tasks": n_tasks,
-            "n_helped": n_helped,
             "busy_s": busy_s,
             "mean_utilization": (sum(w["utilization"] for w in per_worker)
                                  / len(per_worker)),

@@ -357,8 +357,7 @@ class ProcessWorkerPool:
 
         Matches :meth:`WorkerPool.run_all`: every thunk is queued before
         any result is awaited and the first exception re-raises only after
-        all thunks finished or failed.  (No helping is needed here — the
-        waiters are real processes, not pool threads.)
+        all thunks finished or failed.
         """
         futures = [self.submit(thunk) for thunk in thunks]
         self.wait(futures)
@@ -374,15 +373,8 @@ class ProcessWorkerPool:
             raise first_error
         return results
 
-    def wait(self, futures, *, help_group=None) -> None:
-        """Block until every future resolved (API parity with WorkerPool).
-
-        ``help_group`` is accepted for signature compatibility and
-        ignored: inline helping exists to unwedge nested submission on a
-        fixed *thread* pool, and no parent thread can execute a child
-        process's work.
-        """
-        del help_group
+    def wait(self, futures) -> None:
+        """Block until every future resolved (API parity with WorkerPool)."""
         futures_wait(list(futures))
 
     # -- serving surface ------------------------------------------------------
@@ -560,7 +552,6 @@ class ProcessWorkerPool:
             "backend": "process",
             "workers": self.workers,
             "n_tasks": sum(w["n_tasks"] for w in per_worker),
-            "n_helped": 0,
             "busy_s": sum(w["busy_s"] for w in per_worker),
             "mean_utilization": (sum(w["utilization"] for w in per_worker)
                                  / len(per_worker)),
@@ -590,7 +581,6 @@ class ProcessSessionProxy:
 
     prepared = True
     auto_calibrate = False
-    accepts_traces = True
 
     def __init__(self, pool: ProcessWorkerPool, name: str) -> None:
         self._pool = pool

